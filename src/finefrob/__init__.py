@@ -39,7 +39,6 @@ from .errors import (
     NotPrime,
     NotQuadratic,
     NotSemisimple,
-    NotSeparableCase,
     Reducible,
     SchemaMismatch,
     SplittingBoundExceeded,
@@ -81,11 +80,13 @@ from .poly import (
 )
 from .matrix import (
     Matrix,
+    Spectrum,
     eval_poly_at_matrix,
     is_k_regular_matrix,
     is_nilpotent,
     is_semisimple,
     minimal_polynomial,
+    spectrum,
     splitting_bound_of_matrix,
 )
 from .report import VerificationReport
@@ -120,6 +121,7 @@ from .series import (
     apply_named_closed_form,
     apply_series,
     complete_jc_of_image,
+    domain_data,
     eigen_abs_data,
     in_omega_hat,
     radius_of_convergence,

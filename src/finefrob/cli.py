@@ -40,8 +40,7 @@ from .series import (
     NAMED_SERIES,
     SeriesSpec,
     apply_series,
-    eigen_abs_data,
-    in_omega_hat,
+    domain_data,
     radius_of_convergence,
     taylor_oracle,
 )
@@ -145,7 +144,6 @@ def _run(args) -> dict:
         return _run_check(args)
     doc = jsonio.load_document(args.input)
     digest = jsonio.input_hash(doc)
-    report = None
     if args.command == "minpoly":
         result = jsonio.poly_to_json(minimal_polynomial(jsonio.matrix_from_json(doc)))
     elif args.command == "factor":
@@ -171,10 +169,7 @@ def _run(args) -> dict:
         result = _run_domain(doc, args)
     else:  # pragma: no cover - argparse restricts the choices
         raise SchemaMismatch(f"unknown command {args.command!r}")
-    envelope = {"command": args.command, "input_hash": digest, "result": result}
-    if report is not None:
-        envelope["report"] = report
-    return envelope
+    return {"command": args.command, "input_hash": digest, "result": result}
 
 
 def _run_apply(doc, args) -> dict:
@@ -195,8 +190,7 @@ def _run_domain(doc, args) -> dict:
     m = jsonio.matrix_from_json(doc)
     spec = _parse_fn(args.fn)
     av = _parse_abs(args.abs)
-    member = in_omega_hat(m, spec, av, args.seed)
-    data = eigen_abs_data(m, av, args.seed)
+    member, data = domain_data(m, spec, av, args.seed)
     return jsonio.domain_to_json(member, radius_of_convergence(spec, av), data)
 
 
@@ -247,6 +241,18 @@ def _need(obj, *keys, what: str) -> dict:
 def _same_shape(m: Matrix, other: Matrix):
     if m.n != other.n or m.field != other.field:
         raise SchemaMismatch("result document does not match the input dimension")
+
+
+def _result_entries(result, m: Matrix) -> list:
+    """The n x n entries array of an apply document for the input M."""
+    entries = result["entries"]
+    if (
+        not isinstance(entries, list)
+        or len(entries) != m.n
+        or any(not isinstance(row, list) or len(row) != m.n for row in entries)
+    ):
+        raise SchemaMismatch("result document does not match the input dimension")
+    return entries
 
 
 def _cli_str(value) -> str:
@@ -379,13 +385,7 @@ def _check_apply_arch(m: Matrix, result, spec: SeriesSpec) -> dict:
     precision = result["precision"]
     if not isinstance(precision, int) or precision < 1:
         raise SchemaMismatch(f"bad precision {precision!r}")
-    entries = result["entries"]
-    if (
-        not isinstance(entries, list)
-        or len(entries) != m.n
-        or any(not isinstance(row, list) or len(row) != m.n for row in entries)
-    ):
-        raise SchemaMismatch("result document does not match the input dimension")
+    entries = _result_entries(result, m)
     with mpmath.workprec(precision):
         oracle = taylor_oracle(m, spec, _ORACLE_TERMS, precision)
         deviation = mpmath.mpf(0)
@@ -406,13 +406,7 @@ def _check_apply_padic(m: Matrix, result, spec: SeriesSpec, seed) -> dict:
     terms = result["terms"]
     if not isinstance(p, int) or not isinstance(terms, int):
         raise SchemaMismatch("p-adic apply document needs integer p and terms")
-    entries = result["entries"]
-    if (
-        not isinstance(entries, list)
-        or len(entries) != m.n
-        or any(not isinstance(row, list) or len(row) != m.n for row in entries)
-    ):
-        raise SchemaMismatch("result document does not match the input dimension")
+    entries = _result_entries(result, m)
     stated = result["valuation_bound"]
     bound = math.inf if stated == "inf" else stated
     if bound != math.inf and not isinstance(bound, int):

@@ -23,7 +23,6 @@ __all__ = [
     "ConstantPolynomial",
     "DivisionByZeroPoly",
     "BothZero",
-    "NotSeparableCase",
     "DegreeTooLarge",
     "FactorizationFailed",
     "NotQuadratic",
@@ -105,10 +104,6 @@ class DivisionByZeroPoly(DomainError):
 
 class BothZero(DomainError):
     """gcd(0, 0) is undefined."""
-
-
-class NotSeparableCase(DomainError):
-    """The gcd-based squarefree routine met a vanishing derivative it cannot handle."""
 
 
 class DegreeTooLarge(DomainError):

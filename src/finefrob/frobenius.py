@@ -33,8 +33,8 @@ from .errors import (
     ZeroMatrix,
 )
 from .jordan_chevalley import crt_projectors
-from .matrix import Matrix, minimal_polynomial
-from .poly import Factorization, factor, quad_factor_data
+from .matrix import Matrix, Spectrum, spectrum
+from .poly import quad_factor_data
 from .report import VerificationReport
 
 __all__ = [
@@ -43,7 +43,9 @@ __all__ = [
     "FineFrobenius",
     "NormalizedQuadCovariant",
     "NormalizedFineFrobenius",
+    "spectral_components",
     "fine_frobenius",
+    "fine_from_spectrum",
     "reconstruct",
     "verify_fine",
     "normalize",
@@ -105,16 +107,24 @@ class NormalizedFineFrobenius:
     quadratic: tuple[NormalizedQuadCovariant, ...]
 
 
-def _semisimple_bounded_factorization(m: Matrix, seed: int = 0) -> Factorization:
-    """Factor the minimal polynomial, enforcing squarefreeness and degrees <= 2."""
-    fact = factor(minimal_polynomial(m), seed)
+def spectral_components(spectral: Spectrum) -> list[tuple]:
+    """Eigenvalue data of each irreducible factor, in factor order.
+
+    ("linear", gamma) for X - gamma and ("quad", alpha, n) for a quadratic
+    with roots alpha +- sqrt(-n).  Raises NotSemisimple or SplittingBoundExceeded
+    unless the factorization is squarefree with degrees at most 2.
+    """
+    fact = spectral.factorization
     if not fact.is_squarefree:
         raise NotSemisimple("minimal polynomial is not squarefree")
     if fact.max_degree > 2:
         raise SplittingBoundExceeded(
             f"an irreducible factor has degree {fact.max_degree} > 2"
         )
-    return fact
+    return [
+        ("linear", -h.coeff(0)) if h.degree == 1 else ("quad", *quad_factor_data(h))
+        for h, _ in fact.factors
+    ]
 
 
 def fine_frobenius(m: Matrix, seed: int = 0) -> FineFrobenius:
@@ -126,21 +136,27 @@ def fine_frobenius(m: Matrix, seed: int = 0) -> FineFrobenius:
         raise FieldMismatch("fine decomposition input must have ground-field entries")
     if m.is_zero:
         raise ZeroMatrix("the zero matrix has no fine decomposition")
-    fact = _semisimple_bounded_factorization(m, seed)
-    projectors = crt_projectors(fact, m)
+    return fine_from_spectrum(m, spectrum(m, seed))
+
+
+def fine_from_spectrum(m: Matrix, spectral: Spectrum) -> FineFrobenius:
+    """``fine_frobenius`` of a nonzero ground-field M from M's spectrum."""
+    field = m.field
+    components = spectral_components(spectral)
+    projectors = crt_projectors(spectral.factorization, m)
     ident = Matrix.identity(field, m.n)
     kernel = None
     linear = []
     quadratic = []
-    for (h, _), proj in zip(fact.factors, projectors):
-        if h.degree == 1:
-            gamma = -h.coeff(0)
+    for comp, proj in zip(components, projectors):
+        if comp[0] == "linear":
+            gamma = comp[1]
             if gamma == field.zero:
                 kernel = proj
             else:
                 linear.append(LinearCovariant(gamma, proj))
         else:
-            alpha, n = quad_factor_data(h)
+            _, alpha, n = comp
             vertical = (m - ident.scale(alpha)) * proj
             quadratic.append(QuadCovariant(alpha, n, vertical, proj))
     if kernel is None:

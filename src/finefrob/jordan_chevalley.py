@@ -23,7 +23,7 @@ from .errors import (
     NoModularInverse,
     NotKRegular,
 )
-from .matrix import Matrix, eval_poly_at_matrix, minimal_polynomial
+from .matrix import Matrix, Spectrum, eval_poly_at_matrix, minimal_polynomial, spectrum
 from .poly import (
     Factorization,
     Polynomial,
@@ -34,7 +34,6 @@ from .poly import (
     k_projection_of_factor,
 )
 from .report import VerificationReport
-from .scalar import is_k_regular_degree
 
 __all__ = [
     "AdditiveJC",
@@ -56,10 +55,6 @@ class AdditiveJC:
     semisimple: Matrix
     nilpotent: Matrix
     semisimple_poly: Polynomial  # S = semisimple_poly(M)
-
-    def reevaluate(self, m: Matrix) -> Matrix:
-        """Re-evaluate the stored certificate polynomial at m."""
-        return eval_poly_at_matrix(self.semisimple_poly, m)
 
 
 @dataclass(frozen=True)
@@ -95,13 +90,13 @@ def _eval_mod(f: Polynomial, x: Polynomial, modulus: Polynomial) -> Polynomial:
     return acc
 
 
-def _check_k_regular(fact: Factorization, field):
-    for h, _ in fact.factors:
-        if not is_k_regular_degree(h.degree, field):
-            raise NotKRegular(
-                f"irreducible factor of degree {h.degree} over characteristic "
-                f"{field.characteristic}"
-            )
+def _check_k_regular(spectral: Spectrum):
+    degree = spectral.irregular_degree
+    if degree is not None:
+        raise NotKRegular(
+            f"irreducible factor of degree {degree} over characteristic "
+            f"{spectral.minpoly.field.characteristic}"
+        )
 
 
 def jc_decompose_newton(m: Matrix, seed: int = 0) -> AdditiveJC:
@@ -110,15 +105,21 @@ def jc_decompose_newton(m: Matrix, seed: int = 0) -> AdditiveJC:
     Iterates x <- x - q(x) * q'(x)^{-1} in K[X]/(minimal polynomial), where q
     is the squarefree part; each step squares the defect, so exact
     annihilation q(x) = 0 is reached in at most log2(max multiplicity) + 1
-    steps.  S = x(M) and N = M - S.
+    steps.  S = x(M) and N = M - S.  Over Q, q comes from a gcd and no
+    factorization is made; over F_p it is the product of the factors.
     """
-    field = m.field
-    mpoly = minimal_polynomial(m)
-    if field.characteristic != 0:
-        _check_k_regular(factor(mpoly, seed), field)
-    q = squarefree_part(mpoly, seed)
+    if m.field.characteristic == 0:
+        mpoly = minimal_polynomial(m)
+        return _newton(m, mpoly, squarefree_part(mpoly))
+    spectral = spectrum(m, seed)
+    _check_k_regular(spectral)
+    return _newton(m, spectral.minpoly, spectral.factorization.radical(m.field))
+
+
+def _newton(m: Matrix, mpoly: Polynomial, q: Polynomial) -> AdditiveJC:
+    """Newton's S = x(M) for the minimal polynomial mpoly and its squarefree part q."""
     qprime = q.derivative()
-    x = Polynomial.x(field) % mpoly
+    x = Polynomial.x(m.field) % mpoly
     for _ in range(_NEWTON_CAP):
         qx = _eval_mod(q, x, mpoly)
         if qx.is_zero:
@@ -196,12 +197,12 @@ def _semisimple_from_projectors(
 def complete_jc(m: Matrix, seed: int = 0) -> CompleteJC:
     """Complete additive decomposition M = H + V + N over the ground field."""
     field = m.field
-    mpoly = minimal_polynomial(m)
     try:
-        fact = factor(mpoly, seed)
+        spectral = spectrum(m, seed)
     except DegreeTooLarge as exc:
         raise FactorizationFailed(str(exc)) from exc
-    _check_k_regular(fact, field)
+    _check_k_regular(spectral)
+    fact = spectral.factorization
     projectors = crt_projectors(fact, m)
     horizontal = Matrix.zeros(field, m.n)
     data = []
@@ -209,7 +210,11 @@ def complete_jc(m: Matrix, seed: int = 0) -> CompleteJC:
         alpha = k_projection_of_factor(h)
         horizontal = horizontal + proj.scale(alpha)
         data.append(FactorData(h, mult, proj, alpha))
-    newton = jc_decompose_newton(m, seed)
+    # over Q, Newton's q comes from the gcd, so the two routes to S share no
+    # factorization and their agreement stays a check
+    mpoly = spectral.minpoly
+    q = squarefree_part(mpoly) if field.characteristic == 0 else fact.radical(field)
+    newton = _newton(m, mpoly, q)
     via_projectors = _semisimple_from_projectors(fact, projectors, m)
     if newton.semisimple != via_projectors:  # pragma: no cover - equal by uniqueness
         raise ArithmeticError(

@@ -5,9 +5,16 @@ entries may be ground elements or elements of one fixed quadratic extension
 (mixing distinct radicals in one matrix is rejected).  The minimal polynomial
 is computed deterministically from per-basis-vector Krylov relations combined
 by lcm, which certifies minimality without any factorization.
+
+``Spectrum`` is the spectral data every decomposition reads: the minimal
+polynomial together with its factorization into monic irreducibles, built
+once per matrix by ``spectrum(m, seed)`` and passed on instead of being
+recomputed.  It also answers K-regularity (``irregular_degree``).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatch,
@@ -16,13 +23,15 @@ from .errors import (
     NotInvertible,
     NotKRegular,
 )
-from .poly import Polynomial, factor, poly_gcd, poly_lcm
+from .poly import Factorization, Polynomial, factor, poly_gcd, poly_lcm
 from .scalar import QuadElement, is_k_regular_degree
 
 __all__ = [
     "Matrix",
     "eval_poly_at_matrix",
     "minimal_polynomial",
+    "Spectrum",
+    "spectrum",
     "is_k_regular_matrix",
     "is_semisimple",
     "is_nilpotent",
@@ -326,6 +335,33 @@ def _local_annihilator(m: Matrix, vec) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
+# spectral data
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Spectrum:
+    """The minimal polynomial of a matrix and its factorization."""
+
+    minpoly: Polynomial
+    factorization: Factorization
+
+    @property
+    def irregular_degree(self) -> int | None:
+        """Degree of the first factor the characteristic divides; None if K-regular."""
+        field = self.minpoly.field
+        for h, _ in self.factorization.factors:
+            if not is_k_regular_degree(h.degree, field):
+                return h.degree
+        return None
+
+
+def spectrum(m: Matrix, seed: int = 0) -> Spectrum:
+    """M's minimal polynomial and its factorization, each computed once."""
+    mpoly = minimal_polynomial(m)
+    return Spectrum(mpoly, factor(mpoly, seed))
+
+
+# ---------------------------------------------------------------------------
 # predicates
 # ---------------------------------------------------------------------------
 
@@ -333,10 +369,7 @@ def is_k_regular_matrix(m: Matrix, seed: int = 0) -> bool:
     """No irreducible factor degree of the minimal polynomial divisible by char."""
     if m.field.characteristic == 0:
         return True
-    fact = factor(minimal_polynomial(m), seed)
-    return all(
-        is_k_regular_degree(h.degree, m.field) for h, _ in fact.factors
-    )
+    return spectrum(m, seed).irregular_degree is None
 
 
 def is_semisimple(m: Matrix) -> bool:
@@ -348,8 +381,7 @@ def is_semisimple(m: Matrix) -> bool:
     """
     mp = minimal_polynomial(m)
     if m.field.characteristic != 0:
-        fact = factor(mp)
-        if not all(is_k_regular_degree(h.degree, m.field) for h, _ in fact.factors):
+        if Spectrum(mp, factor(mp)).irregular_degree is not None:
             raise NotKRegular("matrix is not K-regular")
     deriv = mp.derivative()
     if deriv.is_zero:
@@ -362,6 +394,4 @@ def is_nilpotent(m: Matrix) -> bool:
 
 
 def splitting_bound_of_matrix(m: Matrix, seed: int = 0) -> int:
-    from .poly import splitting_bound
-
-    return splitting_bound(minimal_polynomial(m), seed)
+    return spectrum(m, seed).factorization.max_degree

@@ -328,6 +328,13 @@ class Factorization:
             acc = acc * poly**mult
         return acc
 
+    def radical(self, field) -> Polynomial:
+        """Monic product of the distinct irreducible factors."""
+        acc = Polynomial.one(field)
+        for poly, _ in self.factors:
+            acc = acc * poly
+        return acc
+
     @property
     def is_squarefree(self) -> bool:
         return all(m == 1 for _, m in self.factors)
@@ -362,11 +369,14 @@ def factor(f: Polynomial, seed: int = 0) -> Factorization:
 def _factor_q(f: Polynomial) -> dict[Polynomial, int]:
     """Factor a monic polynomial over Q (degree >= 1)."""
     sf = (f // poly_gcd(f, f.derivative())).monic() if f.degree > 1 else f
-    irreducibles = _factor_squarefree_q(sf)
-    return _multiplicities(f, irreducibles)
+    out, rem = _multiplicities(f, _factor_squarefree_q(sf))
+    if rem.degree != 0:
+        raise FactorizationFailed("incomplete factor set")  # pragma: no cover
+    return out
 
 
-def _multiplicities(f: Polynomial, irreducibles) -> dict[Polynomial, int]:
+def _multiplicities(f: Polynomial, irreducibles):
+    """({h: multiplicity of h in f}, the cofactor of f left by the irreducibles)."""
     out: dict[Polynomial, int] = {}
     rem = f
     for h in irreducibles:
@@ -378,9 +388,7 @@ def _multiplicities(f: Polynomial, irreducibles) -> dict[Polynomial, int]:
             rem = q
             e += 1
         out[h] = e
-    if rem.degree != 0:
-        raise FactorizationFailed("incomplete factor set")  # pragma: no cover
-    return out
+    return out, rem
 
 
 def _factor_squarefree_q(f: Polynomial) -> list[Polynomial]:
@@ -621,18 +629,7 @@ def _factor_fp(f: Polynomial, rng: random.Random) -> dict[Polynomial, int]:
         g = Polynomial(field, f.coeffs[::p])
         return {h: e * p for h, e in _factor_fp(g, rng).items()}
     sep = (f // poly_gcd(f, deriv)).monic()
-    irreducibles = _distinct_degree_split(sep, rng)
-    out: dict[Polynomial, int] = {}
-    rem = f
-    for h in irreducibles:
-        e = 0
-        while True:
-            q, r = divmod(rem, h)
-            if not r.is_zero:
-                break
-            rem = q
-            e += 1
-        out[h] = e
+    out, rem = _multiplicities(f, _distinct_degree_split(sep, rng))
     if rem.degree > 0:
         for h, e in _factor_fp(rem.monic(), rng).items():
             out[h] = out.get(h, 0) + e
@@ -705,10 +702,7 @@ def squarefree_part(f: Polynomial, seed: int = 0) -> Polynomial:
         return Polynomial.one(f.field)
     if f.field.characteristic == 0:
         return (f // poly_gcd(f, f.derivative())).monic()
-    acc = Polynomial.one(f.field)
-    for h, _ in factor(f, seed).factors:
-        acc = acc * h
-    return acc
+    return factor(f, seed).radical(f.field)
 
 
 def reduced_form(f: Polynomial) -> Polynomial:
@@ -719,14 +713,8 @@ def reduced_form(f: Polynomial) -> Polynomial:
     """
     if f.degree < 1:
         raise ConstantPolynomial("reduced form needs degree >= 1")
-    field = f.field
-    d = f.degree
-    if not is_k_regular_degree(d, field):
-        raise NotKRegular(f"degree {d} is divisible by the characteristic")
-    f = f.monic()
-    shift = -f.coeff(d - 1) / field.from_int(d)
-    x_plus = Polynomial(field, [shift, field.one])
-    return f.compose(x_plus)
+    shift = k_projection_of_factor(f)
+    return f.monic().compose(Polynomial(f.field, [shift, f.field.one]))
 
 
 def splitting_bound(f: Polynomial, seed: int = 0) -> int:
@@ -758,11 +746,9 @@ def quad_factor_data(f: Polynomial):
     """
     if f.degree != 2:
         raise NotQuadratic(f"degree {f.degree} polynomial is not quadratic")
-    field = f.field
-    f = f.monic()
-    alpha = -f.coeff(1) / field.from_int(2)
-    n = f.coeff(0) - alpha * alpha
-    ok, _ = field.is_square(-n)
+    alpha = k_projection_of_factor(f)
+    n = f.monic().coeff(0) - alpha * alpha
+    ok, _ = f.field.is_square(-n)
     if ok:
         raise Reducible("the quadratic splits over the ground field")
     return alpha, n

@@ -39,12 +39,12 @@ from .errors import (
 )
 from .frobenius import (
     FineFrobenius,
-    _semisimple_bounded_factorization,
     fine_frobenius,
+    fine_from_spectrum,
     normalize,
+    spectral_components,
 )
-from .matrix import Matrix
-from .poly import quad_factor_data
+from .matrix import Matrix, spectrum
 from .scalar import QQ, AbsValue, QuadElement, padic_valuation
 
 __all__ = [
@@ -57,6 +57,7 @@ __all__ = [
     "EigenAbs",
     "eigen_abs_data",
     "in_omega_hat",
+    "domain_data",
     "series_even_odd",
     "apply_series",
     "apply_named_closed_form",
@@ -168,11 +169,7 @@ class SeriesSpec:
 def radius_of_convergence(spec: SeriesSpec, av: AbsValue) -> float:
     """Convergence radius as a float report value (exact logic never uses it)."""
     if spec.name == "CUSTOM":
-        if spec.declared_radius is None:
-            raise UnknownRadius("CUSTOM series has no declared radius")
-        if spec.declared_radius == math.inf:
-            return math.inf
-        return float(spec.declared_radius)
+        return float(_declared_radius(spec))
     if av.kind == "arch":
         return math.inf
     if av.kind == "trivial":
@@ -180,45 +177,27 @@ def radius_of_convergence(spec: SeriesSpec, av: AbsValue) -> float:
     return float(av.p) ** (-1.0 / (av.p - 1))
 
 
-def _arch_radius_exact(spec: SeriesSpec):
-    """(is_infinite, R as Fraction or None) for archimedean membership."""
-    if spec.name == "CUSTOM":
-        if spec.declared_radius is None:
-            raise UnknownRadius("CUSTOM series has no declared radius")
-        if spec.declared_radius == math.inf:
-            return True, None
-        return False, spec.declared_radius
-    return True, None
+def _declared_radius(spec: SeriesSpec):
+    """A CUSTOM series' radius: a positive Fraction or math.inf."""
+    if spec.declared_radius is None:
+        raise UnknownRadius("CUSTOM series has no declared radius")
+    return spec.declared_radius
+
+
+def _arch_radius(spec: SeriesSpec):
+    """Archimedean radius R as a Fraction, or math.inf."""
+    return _declared_radius(spec) if spec.name == "CUSTOM" else math.inf
 
 
 # ---------------------------------------------------------------------------
 # eigenvalue data and membership
 # ---------------------------------------------------------------------------
 
-def _spectral_components(m: Matrix, seed: int = 0):
-    """[("linear", gamma) | ("quad", alpha, n)] from the minimal polynomial."""
+def _components(m: Matrix, seed: int):
+    """``spectral_components`` of M, which must be over Q."""
     if m.field.characteristic != 0:
         raise FieldMismatch("valued-field analysis is defined over Q")
-    fact = _semisimple_bounded_factorization(m, seed)
-    components = []
-    for h, _ in fact.factors:
-        if h.degree == 1:
-            components.append(("linear", -h.coeff(0)))
-        else:
-            alpha, n = quad_factor_data(h)
-            components.append(("quad", alpha, n))
-    return components
-
-
-def _components_of_decomposition(dec: FineFrobenius):
-    components = []
-    if not dec.kernel_projector.is_zero:
-        components.append(("linear", Fraction(0)))
-    for cov in dec.linear:
-        components.append(("linear", cov.eigenvalue))
-    for cov in dec.quadratic:
-        components.append(("quad", cov.alpha, cov.n))
-    return components
+    return spectral_components(spectrum(m, seed))
 
 
 @dataclass(frozen=True)
@@ -236,12 +215,20 @@ class EigenAbs:
 
 def eigen_abs_data(m: Matrix, av: AbsValue, seed: int = 0) -> list[EigenAbs]:
     """Per-factor absolute-value triples under the archimedean or p-adic value."""
+    _require_valued(av)
+    return _eigen_abs(_components(m, seed), av)
+
+
+def _require_valued(av: AbsValue):
     if av.kind == "trivial":
         raise TrivialKindUnsupported(
             "the trivial absolute value maps every nonzero value to 1"
         )
+
+
+def _eigen_abs(components, av: AbsValue) -> list[EigenAbs]:
     out = []
-    for comp in _spectral_components(m, seed):
+    for comp in components:
         if comp[0] == "linear":
             gamma = comp[1]
             if av.kind == "arch":
@@ -293,10 +280,9 @@ def _sqrt_bounds(f: Fraction) -> tuple[Fraction, Fraction]:
     return Fraction(r, f.denominator), Fraction(r + 1, f.denominator)
 
 
-def _arch_member(comp, radius_pair) -> bool:
+def _arch_member(comp, radius) -> bool:
     """Exact |alpha| + |beta| < R test for one component."""
-    infinite, radius = radius_pair
-    if infinite:
+    if radius == math.inf:
         return True
     if comp[0] == "linear":
         return abs(comp[1]) < radius
@@ -322,13 +308,12 @@ def _padic_member(comp, spec: SeriesSpec, p: int) -> bool:
         if v2 == math.inf:
             return True
         return v2 * (p - 1) > 2
-    if spec.declared_radius is None:
-        raise UnknownRadius("CUSTOM series has no declared radius")
-    if spec.declared_radius == math.inf:
+    radius = _declared_radius(spec)
+    if radius == math.inf:
         return True
     if v2 == math.inf:
-        return spec.declared_radius > 0
-    r2 = spec.declared_radius * spec.declared_radius
+        return radius > 0
+    r2 = radius * radius
     if v2 >= 0:
         return r2 * p**v2 > 1
     return r2 > p ** (-v2)
@@ -339,21 +324,30 @@ def _doubled_valuation(x: Fraction, p: int):
     return math.inf if v == math.inf else 2 * v
 
 
-def _components_member(components, spec: SeriesSpec, av: AbsValue) -> bool:
+def _member(components, spec: SeriesSpec, av: AbsValue) -> bool:
+    if av.kind == "trivial":
+        # every nonzero value has trivial absolute value 1, so only the zero
+        # eigenvalue sits strictly inside the radius-1 domain
+        return all(c[0] == "linear" and c[1] == 0 for c in components)
     if av.kind == "arch":
-        radius_pair = _arch_radius_exact(spec)
-        return all(_arch_member(c, radius_pair) for c in components)
+        radius = _arch_radius(spec)
+        return all(_arch_member(c, radius) for c in components)
     return all(_padic_member(c, spec, av.p) for c in components)
 
 
 def in_omega_hat(m: Matrix, spec: SeriesSpec, av: AbsValue, seed: int = 0) -> bool:
     """Exact membership of M's eigenvalue data in the convergence domain."""
-    components = _spectral_components(m, seed)
-    if av.kind == "trivial":
-        # every nonzero value has trivial absolute value 1, so only the zero
-        # eigenvalue sits strictly inside the radius-1 domain
-        return all(c[0] == "linear" and c[1] == 0 for c in components)
-    return _components_member(components, spec, av)
+    return _member(_components(m, seed), spec, av)
+
+
+def domain_data(
+    m: Matrix, spec: SeriesSpec, av: AbsValue, seed: int = 0
+) -> tuple[bool, list[EigenAbs]]:
+    """(in_omega_hat, eigen_abs_data) of M from one spectrum of M."""
+    components = _components(m, seed)
+    member = _member(components, spec, av)
+    _require_valued(av)
+    return member, _eigen_abs(components, av)
 
 
 # ---------------------------------------------------------------------------
@@ -421,21 +415,25 @@ def _tail_bound(spec: SeriesSpec, terms: int, r: Fraction) -> Fraction:
     return acc
 
 
-def _component_radii(components) -> list[Fraction]:
-    """Rational upper bounds on |lambda| = |alpha| + |beta| per component."""
-    radii = []
-    for comp in components:
-        if comp[0] == "linear":
-            radii.append(abs(comp[1]))
-        else:
-            _, alpha, n = comp
-            radii.append(abs(alpha) + _sqrt_bounds(abs(n))[1])
-    return radii
+def _radius(alpha: Fraction, n: Fraction) -> Fraction:
+    """Rational upper bound on |lambda| = |alpha| + |beta| with beta^2 = -n."""
+    return abs(alpha) + _sqrt_bounds(abs(n))[1]
 
 
-def _auto_terms_arch(spec: SeriesSpec, radii, target: Fraction) -> int:
+def _quad_tails(
+    spec: SeriesSpec, terms: int, alpha: Fraction, n: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Tail bounds past ``terms`` on the even and on the odd sum of one component."""
+    tail = _tail_bound(spec, terms, _radius(alpha, n))
+    beta_lb = _sqrt_bounds(abs(n))[0]
+    return tail, (tail / beta_lb if beta_lb > 0 else tail)
+
+
+def _auto_terms_arch(spec: SeriesSpec, radii, precision: int) -> int:
+    """Least cutoff on the schedule whose tails are below 2^-(precision + 8)."""
     if spec.max_index is not None:
         return spec.max_index
+    target = Fraction(1, 2 ** (precision + 8))
     terms = 1
     while terms <= _TERMS_CAP:
         if all(_tail_bound(spec, terms, r) <= target for r in radii):
@@ -474,15 +472,12 @@ def series_even_odd(
     alpha = Fraction(alpha)
     n = Fraction(n)
     comp = ("quad", alpha, n)
-    if not _arch_member(comp, _arch_radius_exact(spec)):
+    if not _arch_member(comp, _arch_radius(spec)):
         raise NotConvergent("eigenvalue data leaves the convergence domain")
-    r_ub = abs(alpha) + _sqrt_bounds(abs(n))[1]
     if terms is None:
-        terms = _auto_terms_arch(spec, [r_ub], Fraction(1, 2 ** (precision + 8)))
+        terms = _auto_terms_arch(spec, [_radius(alpha, n)], precision)
     even, odd = _even_odd_partial(spec, alpha, n, terms)
-    tail = _tail_bound(spec, terms, r_ub)
-    beta_lb = _sqrt_bounds(abs(n))[0]
-    odd_tail = tail / beta_lb if beta_lb > 0 else tail
+    tail, odd_tail = _quad_tails(spec, terms, alpha, n)
     with mpmath.workprec(precision):
         return EvenOdd(
             even=_to_mpf(even),
@@ -554,37 +549,38 @@ def _require_rational_matrix(m: Matrix):
         raise FieldMismatch("series application needs ground-field entries")
 
 
-def _exact_parts(dec: FineFrobenius, spec: SeriesSpec, terms: int):
-    """Exact rational (horizontal, vertical) partial sums and tail data.
-
-    Returns (h_exact, v_exact, h_tails, v_tails); the tail lists hold
-    (tail_fraction, matrix) pairs whose products bound the truncation error
-    entrywise for the respective part.
-    """
-    field = dec.field
-    dim = dec.dim
-    h_acc = Matrix.zeros(field, dim)
-    v_acc = Matrix.zeros(field, dim)
-    h_tails: list[tuple[Fraction, Matrix]] = []
-    v_tails: list[tuple[Fraction, Matrix]] = []
+def _partial_sums(dec: FineFrobenius, spec: SeriesSpec, terms: int):
+    """Exact rational (horizontal, vertical) partial sums of f(M) up to ``terms``."""
+    h_acc = Matrix.zeros(dec.field, dec.dim)
+    v_acc = Matrix.zeros(dec.field, dec.dim)
     if not dec.kernel_projector.is_zero:
         h_acc = h_acc + dec.kernel_projector.scale(spec.coefficient(0))
     for cov in dec.linear:
-        gamma = Fraction(cov.eigenvalue)
-        h_acc = h_acc + cov.matrix.scale(_scalar_partial(spec, gamma, terms))
-        h_tails.append((_tail_bound(spec, terms, abs(gamma)), cov.matrix))
+        h_acc = h_acc + cov.matrix.scale(
+            _scalar_partial(spec, Fraction(cov.eigenvalue), terms)
+        )
     for cov in dec.quadratic:
-        alpha = Fraction(cov.alpha)
-        n = Fraction(cov.n)
-        even, odd = _even_odd_partial(spec, alpha, n, terms)
+        even, odd = _even_odd_partial(
+            spec, Fraction(cov.alpha), Fraction(cov.n), terms
+        )
         h_acc = h_acc + cov.projector.scale(even)
         v_acc = v_acc + cov.vertical.scale(odd)
-        r_ub = abs(alpha) + _sqrt_bounds(abs(n))[1]
-        beta_lb = _sqrt_bounds(abs(n))[0]
-        tail = _tail_bound(spec, terms, r_ub)
+    return h_acc, v_acc
+
+
+def _arch_tails(dec: FineFrobenius, spec: SeriesSpec, terms: int):
+    """(h_tails, v_tails): (tail bound, matrix) pairs whose products bound the
+    archimedean truncation error entrywise for the respective part."""
+    h_tails: list[tuple[Fraction, Matrix]] = []
+    v_tails: list[tuple[Fraction, Matrix]] = []
+    for cov in dec.linear:
+        gamma = Fraction(cov.eigenvalue)
+        h_tails.append((_tail_bound(spec, terms, abs(gamma)), cov.matrix))
+    for cov in dec.quadratic:
+        tail, odd_tail = _quad_tails(spec, terms, Fraction(cov.alpha), Fraction(cov.n))
         h_tails.append((tail, cov.projector))
-        v_tails.append((tail / beta_lb, cov.vertical))
-    return h_acc, v_acc, h_tails, v_tails
+        v_tails.append((odd_tail, cov.vertical))
+    return h_tails, v_tails
 
 
 def _embed_with_bounds(
@@ -605,15 +601,46 @@ def _embed_with_bounds(
     return ArchSeriesMatrix(values, bounds, precision, terms)
 
 
-def _arch_apply(dec: FineFrobenius, spec: SeriesSpec, precision: int, terms):
-    components = _components_of_decomposition(dec)
-    if terms is None:
-        radii = _component_radii(
-            [c for c in components if not (c[0] == "linear" and c[1] == 0)]
-        )
-        terms = _auto_terms_arch(spec, radii, Fraction(1, 2 ** (precision + 8)))
-    h_exact, v_exact, h_tails, v_tails = _exact_parts(dec, spec, terms)
-    return h_exact, v_exact, h_tails, v_tails, terms
+def _image_parts(m: Matrix, spec: SeriesSpec, av: AbsValue, precision, terms, seed):
+    """The exact parts of f(M) that apply_series and complete_jc_of_image report.
+
+    Returns (h, v, h_tails, v_tails, valuation_bound, terms): the horizontal
+    and vertical partial sums, the archimedean tail items of each (empty
+    p-adically), the certified p-adic valuation bound (unused archimedean) and
+    the cutoff.  The zero matrix is handled directly as a_0 * identity.
+    """
+    _require_rational_matrix(m)
+    if av.kind == "trivial":
+        raise TrivialKindUnsupported("no evaluation under the trivial absolute value")
+    if m.is_zero:
+        a0 = spec.coefficient(0)
+        zero = Matrix.zeros(QQ, m.n)
+        return Matrix.identity(QQ, m.n).scale(a0), zero, [], [], math.inf, 0
+    spectral = spectrum(m, seed)
+    components = spectral_components(spectral)
+    if not _member(components, spec, av):
+        raise NotInOmegaHat("eigenvalue data leaves the convergence domain")
+    dec = fine_from_spectrum(m, spectral)
+    if av.kind == "arch":
+        if terms is None:
+            radii = [
+                abs(c[1]) if c[0] == "linear" else _radius(c[1], c[2])
+                for c in components
+            ]
+            terms = _auto_terms_arch(spec, radii, precision)
+        h_tails, v_tails = _arch_tails(dec, spec, terms)
+        bound = None
+    else:
+        terms, bound = _padic_cutoff(dec, spec, av.p, precision, terms)
+        h_tails = v_tails = []
+    h_exact, v_exact = _partial_sums(dec, spec, terms)
+    return h_exact, v_exact, h_tails, v_tails, bound, terms
+
+
+def _image_result(exact: Matrix, tails, av: AbsValue, precision: int, bound, terms):
+    if av.kind == "arch":
+        return _embed_with_bounds(exact, tails, precision, terms)
+    return PadicSeriesMatrix(exact, av.p, bound, terms)
 
 
 def apply_series(
@@ -631,41 +658,16 @@ def apply_series(
     valuation bound; ``precision`` is the requested bound).  The zero matrix
     is handled directly as a_0 * identity.
     """
-    _require_rational_matrix(m)
-    if av.kind == "trivial":
-        raise TrivialKindUnsupported("no evaluation under the trivial absolute value")
-    if m.is_zero:
-        return _zero_matrix_result(m, spec, av, precision)
-    dec = fine_frobenius(m, seed)
-    components = _components_of_decomposition(dec)
-    if not _components_member(components, spec, av):
-        raise NotInOmegaHat("eigenvalue data leaves the convergence domain")
-    if av.kind == "arch":
-        h_exact, v_exact, h_tails, v_tails, used = _arch_apply(
-            dec, spec, precision, terms
-        )
-        return _embed_with_bounds(
-            h_exact + v_exact, h_tails + v_tails, precision, used
-        )
-    h_exact, v_exact, bound, used = _padic_apply(dec, spec, av.p, precision, terms)
-    return PadicSeriesMatrix(h_exact + v_exact, av.p, bound, used)
-
-
-def _zero_matrix_result(m: Matrix, spec: SeriesSpec, av: AbsValue, precision: int):
-    a0 = spec.coefficient(0)
-    exact = Matrix.identity(QQ, m.n).scale(a0)
-    if av.kind == "arch":
-        return _embed_with_bounds(exact, [], precision, 0)
-    return PadicSeriesMatrix(exact, av.p, math.inf, 0)
+    h, v, h_tails, v_tails, bound, used = _image_parts(
+        m, spec, av, precision, terms, seed
+    )
+    return _image_result(h + v, h_tails + v_tails, av, precision, bound, used)
 
 
 # -- p-adic backend ----------------------------------------------------------
 
-def _padic_component_valuation(comp, p: int):
-    """min eigenvalue-data valuation v for the component (Fraction or inf)."""
-    if comp[0] == "linear":
-        return padic_valuation(comp[1], p)
-    _, alpha, n = comp
+def _padic_quad_valuation(alpha: Fraction, n: Fraction, p: int):
+    """min(v(alpha), v(beta)) for beta^2 = -n (Fraction or inf)."""
     va = padic_valuation(alpha, p)
     vn = padic_valuation(n, p)
     vb = vn / 2 if vn != math.inf else math.inf
@@ -708,23 +710,26 @@ def _padic_scalar_tail_valuation(
     return best
 
 
-def _padic_apply(dec: FineFrobenius, spec: SeriesSpec, p: int, target, terms):
-    """Exact rational H/V partial sums plus the certified valuation bound."""
-    tail_sources = []
+def _padic_cutoff(dec: FineFrobenius, spec: SeriesSpec, p: int, target, terms):
+    """(terms, certified valuation bound of the truncation at terms).
+
+    Without a given cutoff, the least one whose bound reaches ``target``.
+    """
+    # (eigenvalue-data valuation, matrix valuation, shifted) per tail source;
+    # neither valuation depends on the cutoff
+    sources = []
     for cov in dec.linear:
-        comp = ("linear", Fraction(cov.eigenvalue))
-        tail_sources.append((comp, cov.matrix, False))
+        v = padic_valuation(Fraction(cov.eigenvalue), p)
+        sources.append((v, _matrix_min_valuation(cov.matrix, p), False))
     for cov in dec.quadratic:
-        comp = ("quad", Fraction(cov.alpha), Fraction(cov.n))
-        tail_sources.append((comp, cov.projector, False))
-        tail_sources.append((comp, cov.vertical, True))
+        v = _padic_quad_valuation(Fraction(cov.alpha), Fraction(cov.n), p)
+        sources.append((v, _matrix_min_valuation(cov.projector, p), False))
+        sources.append((v, _matrix_min_valuation(cov.vertical, p), True))
 
     def certified(t: int):
         best = math.inf
-        for comp, mat, shifted in tail_sources:
-            v = _padic_component_valuation(comp, p)
+        for v, shift, shifted in sources:
             scalar = _padic_scalar_tail_valuation(spec, t, v, p, shifted)
-            shift = _matrix_min_valuation(mat, p)
             if scalar == math.inf or shift == math.inf:
                 continue
             best = min(best, scalar + shift)
@@ -739,24 +744,9 @@ def _padic_apply(dec: FineFrobenius, spec: SeriesSpec, p: int, target, terms):
         else:
             raise NotConvergent("no cutoff certified the requested valuation")
     bound = certified(terms)
-    field = dec.field
-    h_acc = Matrix.zeros(field, dec.dim)
-    v_acc = Matrix.zeros(field, dec.dim)
-    if not dec.kernel_projector.is_zero:
-        h_acc = h_acc + dec.kernel_projector.scale(spec.coefficient(0))
-    for cov in dec.linear:
-        h_acc = h_acc + cov.matrix.scale(
-            _scalar_partial(spec, Fraction(cov.eigenvalue), terms)
-        )
-    for cov in dec.quadratic:
-        even, odd = _even_odd_partial(
-            spec, Fraction(cov.alpha), Fraction(cov.n), terms
-        )
-        h_acc = h_acc + cov.projector.scale(even)
-        v_acc = v_acc + cov.vertical.scale(odd)
     if bound != math.inf:
         bound = math.floor(bound)
-    return h_acc, v_acc, bound, terms
+    return terms, bound
 
 
 # -- closed forms ------------------------------------------------------------
@@ -834,31 +824,12 @@ def complete_jc_of_image(
     Hf collects f(gamma_i) A_i and the even sums on P_j; Vf collects the odd
     sums on B_j.  Hf + Vf equals the apply_series result.
     """
-    _require_rational_matrix(m)
-    if av.kind == "trivial":
-        raise TrivialKindUnsupported("no evaluation under the trivial absolute value")
-    if m.is_zero:
-        zero = Matrix.zeros(QQ, m.n)
-        h = _zero_matrix_result(m, spec, av, precision)
-        if av.kind == "arch":
-            return h, _embed_with_bounds(zero, [], precision, 0)
-        return h, PadicSeriesMatrix(zero, av.p, math.inf, 0)
-    dec = fine_frobenius(m, seed)
-    components = _components_of_decomposition(dec)
-    if not _components_member(components, spec, av):
-        raise NotInOmegaHat("eigenvalue data leaves the convergence domain")
-    if av.kind == "arch":
-        h_exact, v_exact, h_tails, v_tails, used = _arch_apply(
-            dec, spec, precision, terms
-        )
-        return (
-            _embed_with_bounds(h_exact, h_tails, precision, used),
-            _embed_with_bounds(v_exact, v_tails, precision, used),
-        )
-    h_exact, v_exact, bound, used = _padic_apply(dec, spec, av.p, precision, terms)
+    h, v, h_tails, v_tails, bound, used = _image_parts(
+        m, spec, av, precision, terms, seed
+    )
     return (
-        PadicSeriesMatrix(h_exact, av.p, bound, used),
-        PadicSeriesMatrix(v_exact, av.p, bound, used),
+        _image_result(h, h_tails, av, precision, bound, used),
+        _image_result(v, v_tails, av, precision, bound, used),
     )
 
 

@@ -1,0 +1,99 @@
+"""How often each command computes a minimal polynomial and factors it.
+
+``minimal_polynomial`` and ``factor`` are wrapped in every ``finefrob.*``
+namespace that names them, the way ``perfbench/tracing.py`` installs its
+wrappers, and each CLI command is run once on a golden input.  A
+decomposition computes its matrix's spectral data once; the Newton route over
+Q factors nothing; ``check`` recomputes on its own and keeps its counts.
+"""
+
+import collections
+import sys
+from pathlib import Path
+
+import pytest
+
+import finefrob.matrix
+import finefrob.poly
+from finefrob.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    tally = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            tally[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {
+        id(finefrob.matrix.minimal_polynomial): counting(
+            "minpoly", finefrob.matrix.minimal_polynomial
+        ),
+        id(finefrob.poly.factor): counting("factor", finefrob.poly.factor),
+    }
+    for name, module in list(sys.modules.items()):
+        if name == "finefrob" or name.startswith("finefrob."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[id(value)])
+    return tally
+
+
+def _input(name: str) -> str:
+    return str(GOLDEN / "inputs" / f"{name}.json")
+
+
+@pytest.mark.parametrize(
+    "argv, minpoly, factor",
+    [
+        (["cjc", "q_jordan"], 1, 1),
+        (["cjc", "q_semisimple"], 1, 1),
+        (["cjc", "f3_repeated"], 1, 1),
+        (["cjc", "f7_semisimple"], 1, 1),
+        (["jc", "f3_repeated"], 1, 1),
+        (["jc", "f7_semisimple"], 1, 1),
+        (["jc", "q_jordan"], 1, 0),
+        (["jc", "q_semisimple"], 1, 0),
+        (["domain", "q_semisimple", "--fn", "exp", "--abs", "arch"], 1, 1),
+        (["domain", "q_worked", "--fn", "cos", "--abs", "padic:3"], 1, 1),
+        (["fine", "q_semisimple"], 1, 1),
+        (["apply", "q_semisimple", "--fn", "exp", "--abs", "arch"], 1, 1),
+        (["apply", "q_semisimple", "--fn", "sin", "--abs", "padic:3"], 1, 1),
+    ],
+    ids=lambda value: "-".join(value) if isinstance(value, list) else str(value),
+)
+def test_command_computes_spectral_data_once(argv, minpoly, factor, counts, capsys):
+    assert main([argv[0], _input(argv[1])] + argv[2:]) == 0
+    capsys.readouterr()
+    assert (counts["minpoly"], counts["factor"]) == (minpoly, factor)
+
+
+@pytest.mark.parametrize(
+    "result, source, minpoly, factor",
+    [
+        ("minpoly-q_jordan", "q_jordan", 1, 0),
+        ("jc-q_jordan", "q_jordan", 1, 0),
+        ("jc-f3_repeated", "f3_repeated", 1, 1),
+        ("cjc-q_jordan", "q_jordan", 2, 2),
+        ("cjc-f3_repeated", "f3_repeated", 2, 2),
+        ("fine-q_semisimple", "q_semisimple", 0, 0),
+        ("normalize-q_semisimple", "q_semisimple", 0, 0),
+        ("domain-exp-arch-q_semisimple", "q_semisimple", 0, 0),
+        ("apply-exp-arch-q_semisimple", "q_semisimple", 0, 0),
+        ("apply-sin-padic3-q_semisimple", "q_semisimple", 1, 1),
+        ("factor-f3", "f3_poly", 0, 0),
+    ],
+)
+def test_check_counts(result, source, minpoly, factor, counts, capsys, tmp_path):
+    path = tmp_path / "result.json"
+    expected = (GOLDEN / "expected" / f"{result}.txt").read_text()
+    path.write_text(expected.split("\n", 1)[1])
+    assert main(["check", _input(source), str(path)]) == 0
+    capsys.readouterr()
+    assert (counts["minpoly"], counts["factor"]) == (minpoly, factor)
