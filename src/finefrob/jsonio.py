@@ -23,7 +23,6 @@ from .frobenius import (
     FineFrobenius,
     LinearCovariant,
     NormalizedFineFrobenius,
-    NormalizedQuadCovariant,
     QuadCovariant,
 )
 from .jordan_chevalley import AdditiveJC, CompleteJC

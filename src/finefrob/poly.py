@@ -6,14 +6,24 @@ or quadratic-extension scalars), derivative, composition, and exact division.
 
 Factorization is complete for both supported ground fields:
 
-* over Q: clear denominators, pull rational roots, then a bounded exhaustive
-  evaluation-interpolation search over integer factor candidates, accelerated
-  by factor-degree filtering modulo small primes and by divisor-tuple
-  congruence pruning (both prune only provably impossible candidates);
+* over Q: clear denominators, pull rational roots, then Zassenhaus' modular
+  algorithm: factor modulo small primes (their factor-degree patterns bound
+  the degrees of rational factors and often certify irreducibility),
+  Hensel-lift the factors modulo the prime with the fewest of them past a
+  Landau-Mignotte coefficient bound, and recombine subsets of the lifted
+  factors by increasing size, pruned by degree and by the trailing
+  coefficient.  Only recombination is exponential: in the number r of
+  modular factors, not in the degree, and it tries subsets of at most r/2
+  factors.  Under the degree cap r <= 24, and in practice r is far smaller:
+  the prime is the one of three with the fewest factors, each rational
+  factor found removes its subset, and only subsets of a degree that every
+  prime's pattern admits are multiplied out.  The search grows only when
+  every prime splits the polynomial into many small factors, as for
+  products of Swinnerton-Dyer polynomials;
 * over F_p: distinct-degree splitting via modular Frobenius powers followed by
   equal-degree splitting, with p-th-root descent when the derivative vanishes.
 
-A hard degree cap keeps the search bounded; factors are returned in a
+A hard degree cap keeps the recombination bounded; factors are returned in a
 canonical order so downstream results are deterministic.
 """
 
@@ -409,26 +419,22 @@ def _factor_squarefree_q(f: Polynomial) -> list[Polynomial]:
     if f.degree <= 3:
         out.append(f)  # no rational roots, so degrees 1..3 are settled
         return out
-    out.extend(_monic(h) for h in _kronecker(_clear_denominators(f)))
+    out.extend(_monic(h) for h in _zassenhaus(_clear_denominators(f)))
     return out
 
 
 def _clear_denominators(f: Polynomial) -> list[int]:
     """Primitive integer coefficient list with positive leading coefficient."""
     den = math.lcm(*(c.denominator for c in f.coeffs))
-    ints = [int(c * den) for c in f.coeffs]
+    return _primitive([int(c * den) for c in f.coeffs])
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    """ints divided by their content, signed so the leading coefficient is positive."""
     content = math.gcd(*ints)
-    ints = [c // content for c in ints]
     if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
-
-
-def _int_eval(coeffs: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+        content = -content
+    return [c // content for c in ints]
 
 
 def _monic(int_coeffs: list[int]) -> Polynomial:
@@ -443,9 +449,13 @@ def _rational_roots(coeffs: list[int]):
     if a0 == 0:
         raise FactorizationFailed("zero constant term after X-stripping")  # pragma: no cover
     deg = len(coeffs) - 1
+    # den X - num divides the polynomial over Z, so den k - num divides f(k)
+    at = {1: sum(coeffs), -1: sum(c * (-1) ** i for i, c in enumerate(coeffs))}
     for num in _signed_divisors(abs(a0)):
         for den in _divisors(abs(ad)):
-            if math.gcd(num, den) != 1:
+            if math.gcd(num, den) != 1 or any(
+                den * k != num and at[k] % (den * k - num) for k in at
+            ):
                 continue
             # den^deg * f(num/den), evaluated in integers
             val = sum(c * num**i * den ** (deg - i) for i, c in enumerate(coeffs))
@@ -472,147 +482,136 @@ def _signed_divisors(n: int) -> list[int]:
     return out
 
 
-def _allowed_factor_degrees(coeffs: list[int]) -> set[int] | None:
-    """Degrees a rational factor can have, from factorizations mod small primes.
+def _zassenhaus(coeffs: list[int]) -> list[list[int]]:
+    """Irreducible primitive integer factors of a primitive squarefree
+    polynomial of degree >= 4: factor modulo a prime, Hensel-lift, recombine."""
+    modular = _modular_factors(coeffs)
+    if modular is None:
+        return [coeffs]
+    allowed, factors = modular
+    p = factors[0].field.characteristic
+    # a factor g of degree < deg has coefficients at most 2^(deg-1) ||coeffs||_2
+    # (Landau-Mignotte); a subset of lifted factors gives (lc / lc(g)) g, which
+    # its residues in [-modulus/2, modulus/2] recover once modulus > 2 lc times that
+    norm = math.isqrt(sum(c * c for c in coeffs)) + 1
+    bound = 2 * coeffs[-1] * (norm << (len(coeffs) - 2))
+    modulus = p
+    while modulus <= bound:
+        modulus *= p
+    return _recombine(coeffs, _hensel_lift(coeffs, factors, modulus), modulus, allowed)
 
-    Returns None when the polynomial is certified irreducible by some modular
-    image.  Every rational factor reduces mod a good prime to a product of a
-    sub-multiset of the modular irreducible factors, so its degree must be a
-    subset sum of every good prime's degree multiset.
+
+def _modular_factors(coeffs: list[int]) -> tuple[set[int], list[Polynomial]] | None:
+    """Degrees a rational factor can have, and the factors modulo one prime.
+
+    Returns None when the polynomial is certified irreducible: by some
+    modular image, or because no proper degree survives.  Every rational
+    factor reduces mod a good prime to a product of a sub-multiset of the
+    modular irreducible factors, so its degree must be a subset sum of every
+    good prime's degree multiset.  The factors returned are those of the good
+    prime with the fewest, which keeps recombination smallest.
     """
-    from .scalar import PrimeField
+    from .scalar import PrimeField, is_probable_prime
 
     deg = len(coeffs) - 1
     allowed = set(range(deg + 1))
+    fewest = None
     good = 0
-    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        if coeffs[-1] % q == 0:
+    q = 1
+    # the primes 3..47 with a budget of 3 good ones; past 47 only until one is
+    # good, which always happens since the polynomial is squarefree
+    while good < 3 and (q < 47 or not good):
+        q += 2
+        if not is_probable_prime(q) or coeffs[-1] % q == 0:
             continue
         field = PrimeField(q)
         fq = Polynomial(field, [field.from_int(c) for c in coeffs])
         if poly_gcd(fq, fq.derivative()).degree != 0:
             continue
-        pairs = _factor_fp(fq.monic(), random.Random(q))
-        degs = [h.degree for h in pairs]
+        factors = list(_factor_fp(fq.monic(), random.Random(q)))
+        degs = [h.degree for h in factors]
         if degs == [deg]:
             return None
         mask = 1
         for d in degs:
             mask |= mask << d
         allowed &= {d for d in range(deg + 1) if (mask >> d) & 1}
+        if fewest is None or len(factors) < len(fewest):
+            fewest = factors
         good += 1
-        if good >= 3:
-            break
-    return allowed
+    if not any(2 <= d <= deg - 2 for d in allowed):
+        return None
+    return allowed, fewest
 
 
-def _kronecker(coeffs: list[int]) -> list[list[int]]:
-    """Irreducible primitive integer factors of a primitive squarefree
-    polynomial with no rational roots, via bounded evaluation-interpolation."""
-    out: list[list[int]] = []
-    g = coeffs
-    allowed = _allowed_factor_degrees(g)
-    if allowed is None:
-        return [g]
-    k = 2
-    while len(g) - 1 >= 2 * k:
-        if k not in allowed:
-            k += 1
-            continue
-        h = _find_degree_k_factor(g, k)
-        if h is None:
-            k += 1
-            continue
-        out.append(h)
-        g = _exact_int_div(g, h)
-        if len(g) - 1 < 2:  # linear or constant leftover cannot appear here
-            break
-    if len(g) - 1 >= 1:
-        out.append(g)
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
     return out
 
 
-def _exact_int_div(g: list[int], h: list[int]) -> list[int]:
-    q, r = divmod(Polynomial(QQ, [Fraction(c) for c in g]),
-                  Polynomial(QQ, [Fraction(c) for c in h]))
-    if not r.is_zero:
-        raise FactorizationFailed("non-exact division")  # pragma: no cover
-    return _clear_denominators(q)
+def _hensel_lift(coeffs: list[int], factors: list[Polynomial], modulus: int) -> list[list[int]]:
+    """Monic lifts modulo `modulus`, a power of p, of the monic factors of
+    coeffs modulo p, one p-adic digit per step (linear multifactor lifting)."""
+    field = factors[0].field
+    p = field.characteristic
+    fp = Polynomial(field, [field.from_int(c) for c in coeffs])
+    # with s_u the inverse of f/u modulo u, the corrections s_u e mod u of
+    # the factors u sum (times f/u) to any e of degree < deg f
+    inverses = [poly_xgcd(fp // u, u)[1] for u in factors]
+    lifted = [[c.residue for c in u.coeffs] for u in factors]
+    m = p
+    while m < modulus:
+        prod = [coeffs[-1]]
+        for u in lifted:
+            prod = _mul(prod, u)
+        e = Polynomial(field, [(c - d) % (m * p) // m for c, d in zip(coeffs, prod)])
+        for u, s, lift in zip(factors, inverses, lifted):
+            for j, d in enumerate((s * e % u).coeffs):
+                lift[j] += m * d.residue
+        m *= p
+    return lifted
 
 
-def _find_degree_k_factor(g: list[int], k: int) -> list[int] | None:
-    """Search for one primitive degree-k integer factor of g, or None."""
-    candidates = []
-    for x in itertools.chain.from_iterable((i, -i) if i else (0,) for i in range(0, 4 * k + 9)):
-        v = _int_eval(g, x)
-        if v != 0:
-            candidates.append((abs(v), x, v))
-        if len(candidates) >= 3 * (k + 1):
-            break
-    candidates.sort()
-    points = sorted((x, v) for _, x, v in candidates[: k + 1])
-    if len(points) < k + 1:
-        raise FactorizationFailed("not enough evaluation points")  # pragma: no cover
-    xs = [x for x, _ in points]
-    vs = [v for _, v in points]
-    divisor_lists = [_signed_divisors(abs(v)) for v in vs]
-    divisor_lists[0] = _divisors(abs(vs[0]))  # fix the sign ambiguity h vs -h
+def _recombine(f: list[int], lifted: list[list[int]], m: int, allowed: set[int]) -> list[list[int]]:
+    """Primitive irreducible factors of f, from its monic factors lifted mod m.
 
-    chosen = [0] * (k + 1)
-
-    def dfs(j: int):
-        if j == k + 1:
-            h = _interpolate_int(xs, chosen, k)
-            if h is not None and _divides_int(h, g):
-                return h
-            return None
-        for d in divisor_lists[j]:
-            ok = True
-            for i in range(j):
-                if (d - chosen[i]) % (xs[j] - xs[i]) != 0:
-                    ok = False
-                    break
-            if not ok:
+    Subsets are tried by increasing size, up to half of what is left (a larger
+    one is the complement of a smaller); a subset survives only if its degree
+    is allowed and its trailing coefficient divides that of lc * f.
+    """
+    out = []
+    half = m // 2  # m is odd: residues are taken in [-half, half]
+    size = 1
+    while 2 * size <= len(lifted):
+        lc = f[-1]
+        for subset in itertools.combinations(range(len(lifted)), size):
+            if sum(len(lifted[i]) - 1 for i in subset) not in allowed:
                 continue
-            chosen[j] = d
-            found = dfs(j + 1)
-            if found is not None:
-                return found
-        return None
-
-    return dfs(0)
-
-
-def _interpolate_int(xs: list[int], ys: list[int], k: int) -> list[int] | None:
-    """Integer coefficients of the degree-k interpolant, or None if unusable."""
-    field = QQ
-    acc = Polynomial.zero(field)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        term = Polynomial.one(field)
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
+            trailing = lc
+            for i in subset:
+                trailing = trailing * lifted[i][0] % m
+            trailing = (trailing + half) % m - half
+            if not trailing or (lc * f[0]) % trailing:
                 continue
-            term = term * Polynomial(field, [Fraction(-xj), Fraction(1)])
-            denom *= xi - xj
-        acc = acc + (Fraction(yi) / denom) * term
-    if acc.degree != k:
-        return None
-    ints = []
-    for c in acc.coeffs:
-        if c.denominator != 1:
-            return None
-        ints.append(c.numerator)
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    content = math.gcd(*ints)
-    return [c // content for c in ints]
-
-
-def _divides_int(h: list[int], g: list[int]) -> bool:
-    hq = Polynomial(QQ, [Fraction(c) for c in h])
-    gq = Polynomial(QQ, [Fraction(c) for c in g])
-    return (gq % hq).is_zero
+            g, h = [lc], [lc]
+            for i, u in enumerate(lifted):
+                if i in subset:
+                    g = _mul(g, u)
+                else:
+                    h = _mul(h, u)
+            g, h = ([(c + half) % m - half for c in v] for v in (g, h))
+            if _mul(g, h) == [lc * c for c in f]:
+                out.append(_primitive(g))
+                f = _primitive(h)
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    out.append(f)
+    return out
 
 
 # -- over F_p ----------------------------------------------------------------

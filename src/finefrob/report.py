@@ -20,12 +20,6 @@ class VerificationReport:
     def failing(self) -> tuple[str, ...]:
         return tuple(name for name, ok in self.checks if not ok)
 
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "clauses": {name: ok for name, ok in self.checks},
-        }
-
     def __repr__(self):
         body = ", ".join(f"{name}={'ok' if ok else 'FAIL'}" for name, ok in self.checks)
         return f"VerificationReport({body})"

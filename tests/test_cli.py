@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through main(argv)."""
 
 import json
+import random
 
 import pytest
 
@@ -183,6 +184,21 @@ def test_check_cjc_passes(tmp_path, capsys):
     assert verdict["result"]["checked_command"] == "cjc"
     assert verdict["result"]["passed"] is True
     assert verdict["report"]["sum_reconstructs"] is True
+
+
+@pytest.mark.parametrize("n, seed", [(9, 13), (12, 20)])
+def test_check_cjc_of_random_integer_matrix(tmp_path, capsys, n, seed):
+    # the minimal polynomials of M and of V are irreducible, but their factor
+    # degrees modulo small primes leave proper degrees open
+    rng = random.Random(seed)
+    entries = [[str(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
+    path = write_doc(tmp_path, "m.json", mat_doc(entries))
+    code, doc = run_json(capsys, ["cjc", path])
+    assert code == 0
+    result_path = write_doc(tmp_path, "res.json", doc)
+    code, verdict = run_json(capsys, ["check", path, result_path])
+    assert code == 0
+    assert verdict["result"]["passed"] is True
 
 
 def test_check_detects_corruption(tmp_path, capsys):

@@ -176,7 +176,7 @@ def test_factor_cyclotomic_sextic():
 
 
 def test_factor_quartic_product_of_quadratics():
-    # needs the degree-2 factor search: (X^2+2)(X^2+X+1), no rational roots
+    # (X^2+2)(X^2+X+1) has no rational roots, so lifting and recombination find it
     f = q(2, 0, 1) * q(1, 1, 1)
     fact = factor(f)
     assert set(fact.factors) == {(q(2, 0, 1), 1), (q(1, 1, 1), 1)}
@@ -234,6 +234,57 @@ def test_factor_random_products_round_trip():
         )
         assert list(f.coeffs) == expanded
         assert dict(fact.factors) == {g.monic(): m for g, m in zip(chosen, mults)}
+
+
+def _to_sympy(sympy, f):
+    coeffs = [sympy.Rational(str(c)) for c in reversed(f.coeffs)]
+    return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ")
+
+
+def _sympy_factors(sympy, f):
+    """{monic irreducible factor: multiplicity} of f over Q, by sympy."""
+    return {
+        Polynomial(QQ, [Fraction(str(c)) for c in reversed(g.monic().all_coeffs())]): m
+        for g, m in _to_sympy(sympy, f).factor_list()[1]
+    }
+
+
+def _random_irreducibles(sympy, rng, count, rational):
+    out = []
+    while len(out) < count:
+        degree = rng.randint(1, 6)
+        if rational:
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)]
+            coeffs.append(Fraction(rng.randint(2, 7), rng.randint(1, 5)))
+        else:
+            coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(degree)] + [Fraction(1)]
+        g = Polynomial(QQ, coeffs)
+        if _to_sympy(sympy, g).is_irreducible:
+            out.append(g)
+    return out
+
+
+def test_factor_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    cases = [q(-1, *[0] * (n - 1), 1) for n in range(1, FACTOR_DEGREE_CAP + 1)]  # X^n - 1
+    # Swinnerton-Dyer polynomials for sqrt2 + sqrt3 and sqrt2 + sqrt3 + sqrt5:
+    # irreducible, yet split into factors of degree <= 2 modulo every prime
+    cases += [q(1, 0, -10, 0, 1), q(576, 0, -960, 0, 352, 0, -40, 0, 1)]
+    # minimal polynomials of cbrt2 + sqrt-3 and cbrt3 + sqrt-3 (Galois group S3):
+    # each splits modulo every prime, so their product needs subsets of size >= 2
+    cases.append(q(31, 36, 27, -4, 9, 0, 1) * q(36, 54, 27, -6, 9, 0, 1))
+    for rational in (False, True):
+        pool = _random_irreducibles(sympy, rng, 12, rational)
+        for _ in range(6):
+            f = Polynomial.constant(QQ, Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5])))
+            for g in rng.sample(pool, len(pool)):
+                mult = rng.choice([1, 1, 2])
+                if f.degree + mult * g.degree <= FACTOR_DEGREE_CAP:
+                    f = f * g**mult
+            cases.append(f)
+    for f in cases:
+        assert dict(factor(f).factors) == _sympy_factors(sympy, f), f
 
 
 def test_factor_degree_cap():
