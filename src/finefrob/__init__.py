@@ -17,6 +17,7 @@ always in exact arithmetic:
 
 from .errors import (
     BothZero,
+    CapExceeded,
     CharTwo,
     ConstantPolynomial,
     DegreeTooLarge,
@@ -82,6 +83,7 @@ from .matrix import (
     Matrix,
     Spectrum,
     eval_poly_at_matrix,
+    eval_polys_at_matrix,
     is_k_regular_matrix,
     is_nilpotent,
     is_semisimple,

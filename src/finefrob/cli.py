@@ -19,7 +19,7 @@ from fractions import Fraction
 import mpmath
 
 from . import jsonio
-from .errors import DomainError, InputError, SchemaMismatch
+from .errors import CapExceeded, DomainError, InputError, SchemaMismatch
 from .frobenius import fine_frobenius, normalize, reconstruct, verify_fine
 from .jordan_chevalley import (
     CompleteJC,
@@ -47,6 +47,10 @@ from .series import (
 
 _CHECK_TOLERANCE = Fraction(1, 10**12)
 _ORACLE_TERMS = 60
+# caps on apply's overrides: past them one request takes over half a minute;
+# automatic cutoffs stay below (exp of [[0,-1000],[1000,0]] takes 3389 terms)
+TERMS_CAP = 4096
+PRECISION_CAP = 16384
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,6 +181,10 @@ def _run_apply(doc, args) -> dict:
         raise SchemaMismatch(f"precision must be positive, got {args.prec}")
     if args.terms is not None and args.terms < 0:
         raise SchemaMismatch(f"terms must be nonnegative, got {args.terms}")
+    if args.prec > PRECISION_CAP:
+        raise CapExceeded(f"precision {args.prec} exceeds the cap {PRECISION_CAP}")
+    if args.terms is not None and args.terms > TERMS_CAP:
+        raise CapExceeded(f"terms {args.terms} exceed the cap {TERMS_CAP}")
     m = jsonio.matrix_from_json(doc)
     spec = _parse_fn(args.fn)
     av = _parse_abs(args.abs)

@@ -24,6 +24,7 @@ __all__ = [
     "DivisionByZeroPoly",
     "BothZero",
     "DegreeTooLarge",
+    "CapExceeded",
     "FactorizationFailed",
     "NotQuadratic",
     "Reducible",
@@ -108,6 +109,10 @@ class BothZero(DomainError):
 
 class DegreeTooLarge(DomainError):
     """Degree exceeds the supported factorization bound."""
+
+
+class CapExceeded(DomainError):
+    """A requested size (series terms, precision) exceeds its supported cap."""
 
 
 class FactorizationFailed(DomainError):

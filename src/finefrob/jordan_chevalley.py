@@ -23,7 +23,14 @@ from .errors import (
     NoModularInverse,
     NotKRegular,
 )
-from .matrix import Matrix, Spectrum, eval_poly_at_matrix, minimal_polynomial, spectrum
+from .matrix import (
+    Matrix,
+    Spectrum,
+    eval_poly_at_matrix,
+    eval_polys_at_matrix,
+    minimal_polynomial,
+    spectrum,
+)
 from .poly import (
     Factorization,
     Polynomial,
@@ -142,7 +149,9 @@ def crt_projectors(fact: Factorization, m: Matrix) -> list[Matrix]:
 
     e_i = u_i * (m / m_i^mu_i) mod m, where u_i inverts the complementary
     product modulo m_i^mu_i; the e_i sum to 1 and are pairwise orthogonal
-    idempotents, so the P_i form a resolution of the identity.
+    idempotents, so the P_i form a resolution of the identity.  Every e_i has
+    degree below D = deg m, so all of them are combinations of one table
+    I, M, ..., M^(D-1), built with at most D - 2 matrix products.
     """
     field = m.field
     if len(fact.factors) == 1:
@@ -150,16 +159,15 @@ def crt_projectors(fact: Factorization, m: Matrix) -> list[Matrix]:
     modulus = Polynomial.one(field)
     for h, mult in fact.factors:
         modulus = modulus * h**mult
-    projectors = []
+    idempotents = []
     for h, mult in fact.factors:
         primary = h**mult
         complement = modulus // primary
         g, u, _ = poly_xgcd(complement, primary)
         if g.degree != 0:  # pragma: no cover - factors are coprime
             raise NoModularInverse("CRT moduli are not coprime")
-        idempotent = (u * complement) % modulus
-        projectors.append(eval_poly_at_matrix(idempotent, m))
-    return projectors
+        idempotents.append((u * complement) % modulus)
+    return eval_polys_at_matrix(idempotents, m)
 
 
 def _hensel_root(factor_poly: Polynomial, mult: int) -> Polynomial:
@@ -184,13 +192,13 @@ def _semisimple_from_projectors(
     fact: Factorization, projectors: list[Matrix], m: Matrix
 ) -> Matrix:
     """Independent construction of S: per-factor Hensel roots glued by CRT."""
+    roots = [
+        Polynomial.x(m.field) if mult == 1 else _hensel_root(h, mult)
+        for h, mult in fact.factors
+    ]
     acc = Matrix.zeros(m.field, m.n)
-    for (h, mult), proj in zip(fact.factors, projectors):
-        if mult == 1:
-            acc = acc + m * proj
-        else:
-            root = _hensel_root(h, mult)
-            acc = acc + eval_poly_at_matrix(root, m) * proj
+    for root, proj in zip(eval_polys_at_matrix(roots, m), projectors):
+        acc = acc + root * proj
     return acc
 
 

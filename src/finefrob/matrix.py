@@ -6,6 +6,15 @@ entries may be ground elements or elements of one fixed quadratic extension
 is computed deterministically from per-basis-vector Krylov relations combined
 by lcm, which certifies minimality without any factorization.
 
+Polynomials are evaluated at a matrix on one path, ``eval_polys_at_matrix``:
+the powers I, M, ..., M^e are computed once and every polynomial is a linear
+combination of them.  Over a ground F_p (no quadratic entries) the product,
+that combination and the Krylov iteration (its matrix-vector products and
+its elimination) run on plain int residues: each result entry is reduced
+mod p once, and becomes an ``FpElement`` again only when the result matrix
+or polynomial is built.  Over Q, and with quadratic entries, the same loops
+run on the elements.
+
 ``Spectrum`` is the spectral data every decomposition reads: the minimal
 polynomial together with its factorization into monic irreducibles, built
 once per matrix by ``spectrum(m, seed)`` and passed on instead of being
@@ -14,6 +23,7 @@ recomputed.  It also answers K-regularity (``irregular_degree``).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -29,6 +39,7 @@ from .scalar import QuadElement, is_k_regular_degree
 __all__ = [
     "Matrix",
     "eval_poly_at_matrix",
+    "eval_polys_at_matrix",
     "minimal_polynomial",
     "Spectrum",
     "spectrum",
@@ -164,14 +175,9 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check(other)
-            cols = other.transpose().rows
-            return Matrix(
-                self.field,
-                [
-                    [_dot(self.field, row, col) for col in cols]
-                    for row in self.rows
-                ],
-            )
+            _, a, b = _values(self, other)
+            cols = list(zip(*b))
+            return Matrix(self.field, [[_dot(row, col) for col in cols] for row in a])
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -196,7 +202,7 @@ class Matrix:
 
     def apply(self, vec):
         """Matrix-vector product on a tuple."""
-        return tuple(_dot(self.field, row, vec) for row in self.rows)
+        return tuple(_dot(row, vec) for row in self.rows)
 
     # -- elimination ---------------------------------------------------------
 
@@ -263,11 +269,23 @@ def _coerce_entry(field, e):
     return field.coerce(e)
 
 
-def _dot(field, u, v):
-    acc = field.zero
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
+def _values(*ms):
+    """(p, the entry rows of each m) to compute on: p and int residues when
+    every m is over ground F_p, else 0 and the elements themselves.  Results
+    go back through ``Matrix()``, which reduces each residue mod p once."""
+    p = ms[0].field.characteristic
+    if p and all(m.radical is None for m in ms):
+        return (p, *([[e.residue for e in row] for row in m.rows] for m in ms))
+    return (0, *(m.rows for m in ms))
+
+
+def _reduce(vec: list, p: int) -> list:
+    """vec with its int residues reduced mod p; vec itself when p is 0."""
+    return [a % p for a in vec] if p else vec
+
+
+def _dot(u, v):
+    return sum(map(operator.mul, u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +293,32 @@ def _dot(field, u, v):
 # ---------------------------------------------------------------------------
 
 def eval_poly_at_matrix(f: Polynomial, m: Matrix) -> Matrix:
-    """f(m) by Horner; the constant term contributes a multiple of identity."""
-    if f.field != m.field:
+    """f(m); the constant term contributes a multiple of identity."""
+    return eval_polys_at_matrix([f], m)[0]
+
+
+def eval_polys_at_matrix(polys, m: Matrix) -> list[Matrix]:
+    """[f(m) for f in polys], each a linear combination of one table of powers.
+
+    The table I, m, ..., m^e (e the largest degree) takes e - 1 matrix
+    products, however many polynomials share it.
+    """
+    field, n = m.field, m.n
+    if any(f.field != field for f in polys):
         raise FieldMismatch("polynomial and matrix over different fields")
-    acc = Matrix.zeros(m.field, m.n)
-    ident = Matrix.identity(m.field, m.n)
-    for c in reversed(f.coeffs):
-        acc = acc * m + ident.scale(c)
-    return acc
+    powers = [Matrix.identity(field, n), m]
+    while len(powers) <= max((f.degree for f in polys), default=0):
+        powers.append(powers[-1] * m)
+    p, *tables = _values(*powers)
+    flat = [[e for row in table for e in row] for table in tables]
+    out = []
+    for f in polys:
+        acc = [0] * (n * n)
+        for c, power in zip([c.residue for c in f.coeffs] if p else f.coeffs, flat):
+            if c:
+                acc = [a + c * e for a, e in zip(acc, power)]
+        out.append(Matrix(field, [acc[i : i + n] for i in range(0, n * n, n)]))
+    return out
 
 
 def minimal_polynomial(m: Matrix) -> Polynomial:
@@ -294,44 +330,42 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
     lcm over all basis vectors annihilates every vector, hence the matrix.
     """
     field = m.field
+    p, rows = _values(m)
+    zero, one = (0, 1) if p else (field.zero, field.one)
     acc = Polynomial.one(field)
     for j in range(m.n):
         if acc.degree == m.n:
             break
-        vec = tuple(
-            field.one if i == j else field.zero for i in range(m.n)
-        )
-        local = _local_annihilator(m, vec)
-        acc = poly_lcm(acc, local)
+        vec = [one if i == j else zero for i in range(m.n)]
+        local = Polynomial(field, _local_annihilator(rows, vec, p, zero, one))
+        acc = poly_lcm(acc, local.monic())
     return acc
 
 
-def _local_annihilator(m: Matrix, vec) -> Polynomial:
-    """Monic least-degree f with f(m) vec = 0."""
-    field = m.field
-    z = field.zero
+def _local_annihilator(rows, vec: list, p: int, zero, one) -> list:
+    """Coefficients of a least-degree f with f(M) vec = 0, for M with these
+    rows: on int residues, each value read reduced mod p, when p is nonzero,
+    else on the elements themselves."""
     # each stored row: (pivot index, reduced vector, combination over Krylov powers)
-    basis: list[tuple[int, tuple, tuple]] = []
+    basis: list[tuple[int, list, list]] = []
     current = vec
-    combo = [field.one]
+    combo = [one]
     while True:
-        red = list(current)
-        red_combo = list(combo) + [z] * (len(basis) + 1 - len(combo))
+        red, red_combo = current, list(combo)
         for pivot, bvec, bcombo in basis:
-            c = red[pivot]
-            if c != z:
+            c = red[pivot] % p if p else red[pivot]
+            if c:
                 red = [a - c * b for a, b in zip(red, bvec)]
-                for i, bc in enumerate(bcombo):
-                    red_combo[i] = red_combo[i] - c * bc
-        pivot = next((i for i, a in enumerate(red) if a != z), None)
+                red_combo[: len(bcombo)] = [a - c * b for a, b in zip(red_combo, bcombo)]
+        red = _reduce(red, p)
+        pivot = next((i for i, a in enumerate(red) if a), None)
         if pivot is None:
-            return Polynomial(field, red_combo).monic()
-        inv = field.one / red[pivot]
-        norm_vec = tuple(inv * a for a in red)
-        norm_combo = tuple(inv * a for a in red_combo)
-        basis.append((pivot, norm_vec, norm_combo))
-        current = m.apply(current)
-        combo = [z] + combo  # multiply the tracked polynomial by X
+            return red_combo
+        inv = pow(red[pivot], -1, p) if p else one / red[pivot]
+        scaled = (_reduce([inv * a for a in v], p) for v in (red, red_combo))
+        basis.append((pivot, *scaled))
+        current = _reduce([_dot(row, current) for row in rows], p)
+        combo = [zero] + combo  # multiply the tracked polynomial by X
 
 
 # ---------------------------------------------------------------------------

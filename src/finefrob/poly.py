@@ -75,7 +75,7 @@ class Polynomial:
 
     def __init__(self, field, coeffs):
         cs = [field.coerce(c) for c in coeffs]
-        while cs and cs[-1] == field.zero:
+        while cs and not cs[-1]:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -130,7 +130,8 @@ class Polynomial:
         lc = self.leading
         if lc == self.field.one:
             return self
-        return Polynomial(self.field, [c / lc for c in self.coeffs])
+        inv = self.field.one / lc
+        return Polynomial(self.field, [c * inv for c in self.coeffs])
 
     # -- ring operations -----------------------------------------------------
 
@@ -164,12 +165,11 @@ class Polynomial:
             self._check(other)
             if self.is_zero or other.is_zero:
                 return Polynomial.zero(self.field)
-            out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == self.field.zero:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
+            _, a, b = _values(self, other)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, c in enumerate(a):
+                if c:
+                    out[i : i + len(b)] = [o + c * e for o, e in zip(out[i:], b)]
             return Polynomial(self.field, out)
         try:
             c = self.field.coerce(other)
@@ -185,21 +185,19 @@ class Polynomial:
         self._check(other)
         if other.is_zero:
             raise DivisionByZeroPoly("polynomial division by zero")
-        q = [self.field.zero] * max(len(self.coeffs) - len(other.coeffs) + 1, 1)
-        rem = list(self.coeffs)
-        dlc = other.leading
+        p, rem, b = _values(self, other)
+        rem = list(rem)
         dd = other.degree
-        while len(rem) - 1 >= dd and any(c != self.field.zero for c in rem):
-            while rem and rem[-1] == self.field.zero:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            k = len(rem) - 1 - dd
-            f = rem[-1] / dlc
-            q[k] = f
-            for i in range(len(other.coeffs)):
-                rem[k + i] = rem[k + i] - f * other.coeffs[i]
-            rem.pop()
+        inv = pow(b[-1], -1, p) if p else 1 / b[-1]
+        q = [0] * max(len(rem) - dd, 1)
+        # the top coefficient is reduced when it is read; the rest once, by Polynomial()
+        for k in range(len(rem) - 1 - dd, -1, -1):
+            lead = rem.pop()
+            if p:
+                lead %= p
+            if lead:
+                q[k] = lead * inv % p if p else lead * inv
+                rem[k : k + dd] = [r - q[k] * e for r, e in zip(rem[k:], b)]
         return Polynomial(self.field, q), Polynomial(self.field, rem)
 
     def __floordiv__(self, other):
@@ -269,6 +267,16 @@ class Polynomial:
             else:
                 terms.append(f"{cs}*X^{i}" if cs != "1" else f"X^{i}")
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _values(*polys):
+    """(p, the coefficients of each poly) to compute on: p and int residues
+    over F_p, else 0 and the elements themselves.  Results go back through
+    ``Polynomial()``, which reduces residues mod p once each."""
+    p = polys[0].field.characteristic
+    if p:
+        return (p, *([c.residue for c in f.coeffs] for f in polys))
+    return (0, *(f.coeffs for f in polys))
 
 
 # ---------------------------------------------------------------------------
@@ -449,19 +457,45 @@ def _rational_roots(coeffs: list[int]):
     if a0 == 0:
         raise FactorizationFailed("zero constant term after X-stripping")  # pragma: no cover
     deg = len(coeffs) - 1
+    bound = _root_bound(coeffs)
+    nums = _divisors(abs(a0))
     # den X - num divides the polynomial over Z, so den k - num divides f(k)
     at = {1: sum(coeffs), -1: sum(c * (-1) ** i for i, c in enumerate(coeffs))}
-    for num in _signed_divisors(abs(a0)):
-        for den in _divisors(abs(ad)):
-            if math.gcd(num, den) != 1 or any(
-                den * k != num and at[k] % (den * k - num) for k in at
-            ):
-                continue
-            # den^deg * f(num/den), evaluated in integers
-            val = sum(c * num**i * den ** (deg - i) for i, c in enumerate(coeffs))
-            if val == 0:
-                roots.append((num, den))
+    for den in _divisors(ad):
+        for size in nums:
+            if size > bound * den:
+                break
+            for num in (size, -size):
+                if math.gcd(num, den) != 1 or any(
+                    den * k != num and at[k] % (den * k - num) for k in at
+                ):
+                    continue
+                # den^deg * f(num/den), evaluated in integers
+                val = sum(c * num**i * den ** (deg - i) for i, c in enumerate(coeffs))
+                if val == 0:
+                    roots.append((num, den))
     return roots
+
+
+def _root_bound(coeffs: list[int]) -> int:
+    """The least integer b at or above Fujiwara's bound on the roots' moduli,
+    2 max(|a_(d-1)/a_d|, |a_(d-2)/a_d|^(1/2), ..., |a_0/(2 a_d)|^(1/d)):
+    b^i |a_d| >= 2^i |a_(d-i)| for every i, with a_0 halved."""
+    deg = len(coeffs) - 1
+
+    def covers(b: int) -> bool:
+        return all(
+            b ** (deg - i) * abs(coeffs[-1]) >= abs(c) << (deg - i - (i == 0))
+            for i, c in enumerate(coeffs[:-1])
+        )
+
+    low, high = 0, 1
+    while not covers(high):
+        low, high = high, 2 * high
+    while high - low > 1:  # covers(high) holds and covers(low) does not
+        mid = (low + high) // 2
+        low, high = (low, mid) if covers(mid) else (mid, high)
+    return high
 
 
 def _divisors(n: int) -> list[int]:
@@ -472,14 +506,6 @@ def _divisors(n: int) -> list[int]:
     for q, e in factor_int(n).items():
         divs = [d * q**k for d in divs for k in range(e + 1)]
     return sorted(divs)
-
-
-def _signed_divisors(n: int) -> list[int]:
-    out = []
-    for d in _divisors(n):
-        out.append(d)
-        out.append(-d)
-    return out
 
 
 def _zassenhaus(coeffs: list[int]) -> list[list[int]]:

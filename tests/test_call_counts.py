@@ -5,6 +5,8 @@ namespace that names them, the way ``perfbench/tracing.py`` installs its
 wrappers, and each CLI command is run once on a golden input.  A
 decomposition computes its matrix's spectral data once; the Newton route over
 Q factors nothing; ``check`` recomputes on its own and keeps its counts.
+The CRT projectors of a matrix share one table of its powers, counted by
+wrapping ``Matrix.__mul__``.
 """
 
 import collections
@@ -15,6 +17,7 @@ import pytest
 
 import finefrob.matrix
 import finefrob.poly
+from finefrob import Matrix, PrimeField, crt_projectors, spectrum
 from finefrob.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -97,3 +100,35 @@ def test_check_counts(result, source, minpoly, factor, counts, capsys, tmp_path)
     assert main(["check", _input(source), str(path)]) == 0
     capsys.readouterr()
     assert (counts["minpoly"], counts["factor"]) == (minpoly, factor)
+
+
+# the blocks 1, 2, a Jordan block of 3 and the companion of X^2 + 1 over F_7,
+# conjugated: minimal polynomial of degree 6 with four irreducible factors
+F7_DENSE = [
+    [3, 2, 0, 4, 1, 4],
+    [3, 4, 0, 6, 5, 4],
+    [1, 3, 2, 5, 1, 1],
+    [0, 0, 3, 3, 0, 4],
+    [4, 5, 1, 2, 5, 4],
+    [2, 2, 4, 3, 1, 6],
+]
+
+
+def test_crt_projectors_share_one_power_table(monkeypatch):
+    """I, M, ..., M^(D-1) are built once: D - 2 matrix products for all four
+    projectors, where one Horner evaluation per projector took about 4 D."""
+    m = Matrix(PrimeField(7), F7_DENSE)
+    spectral = spectrum(m)
+    assert spectral.minpoly.degree == 6 and len(spectral.factorization.factors) == 4
+    products = collections.Counter()
+    original = Matrix.__mul__
+
+    def counting(self, other):
+        products["mul"] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    projectors = crt_projectors(spectral.factorization, m)
+    assert products["mul"] == spectral.minpoly.degree - 2
+    monkeypatch.undo()
+    assert sum(projectors[1:], projectors[0]) == Matrix.identity(m.field, m.n)

@@ -282,6 +282,17 @@ def test_apply_outside_domain_exits_2(tmp_path, capsys):
     assert doc["error"]["code"] == "NotInOmegaHat"
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--terms", "4097"), ("--terms", "100000000"), ("--prec", "16385"), ("--prec", "32768")],
+)
+def test_apply_caps_exit_2(tmp_path, capsys, flag, value):
+    path = write_doc(tmp_path, "m.json", mat_doc(WORKED))
+    code, doc = run_json(capsys, ["apply", path, "--fn", "exp", "--abs", "arch", flag, value])
+    assert code == 2
+    assert doc["error"]["code"] == "CapExceeded"
+
+
 def test_missing_file_exits_1(capsys):
     code, doc = run_json(capsys, ["minpoly", "/nonexistent/nope.json"])
     assert code == 1

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import corpus
 import oracles
@@ -13,10 +14,12 @@ from finefrob import (
     PrimeField,
     QQ,
     eval_poly_at_matrix,
+    eval_polys_at_matrix,
     is_k_regular_matrix,
     is_nilpotent,
     is_semisimple,
     minimal_polynomial,
+    quad_element,
     splitting_bound_of_matrix,
 )
 from finefrob.errors import (
@@ -223,3 +226,89 @@ def test_semisimple_generator_matches_predicates():
         m = corpus.random_semisimple_sb2(rng, n)
         assert is_semisimple(m)
         assert splitting_bound_of_matrix(m) <= 2
+
+
+# ---------------------------------------------------------------------------
+# kernels over F_p (int residues) and with quadratic entries (elements)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def fp_matrices(draw, count=1):
+    """(field, matrices) over F_3, F_7 or F_1009, n <= 8.
+
+    Entries lean to 0, 1 and -1, and a matrix may repeat one diagonal block
+    (then be conjugated by a unit triangular matrix), so minimal polynomials
+    of degree below n, and their lcm over the Krylov vectors, are drawn too.
+    """
+    p = draw(st.sampled_from((3, 7, 1009)))
+    field = PrimeField(p)
+    n = draw(st.integers(1, 8))
+    entry = st.sampled_from((0, 1, p - 1)) | st.integers(0, p - 1)
+
+    def square(k):
+        row = st.lists(entry, min_size=k, max_size=k)
+        return draw(st.lists(row, min_size=k, max_size=k))
+
+    out = []
+    for _ in range(count):
+        rows = square(n)
+        k = draw(st.integers(1, n))
+        if k < n:
+            block = square(k)
+            rows = [[block[i % k][j % k] if i // k == j // k else 0 for j in range(n)]
+                    for i in range(n)]
+        m = Matrix(field, rows)
+        if k < n and draw(st.booleans()):
+            shear = square(n)
+            upper = Matrix(field, [[int(i == j) or shear[i][j] * (i < j) for j in range(n)]
+                                   for i in range(n)])
+            m = upper * m * upper.inverse()
+        out.append(m)
+    return field, out
+
+
+@given(fp_matrices(count=2))
+def test_fp_product_and_apply_match_oracle(drawn):
+    field, (a, b) = drawn
+    oracle = oracles.mat_mul(field, a.rows, b.rows)
+    assert (a * b).rows == oracle
+    for j in range(a.n):
+        column = tuple(row[j] for row in b.rows)
+        assert a.apply(column) == tuple(row[j] for row in oracle)
+
+
+@given(fp_matrices())
+def test_fp_minimal_polynomial_matches_oracle(drawn):
+    field, (m,) = drawn
+    oracle = oracles.oracle_minimal_polynomial(field, m.rows)
+    assert list(minimal_polynomial(m).coeffs) == oracle
+
+
+@given(fp_matrices(),
+       st.lists(st.lists(st.integers(0, 1008), max_size=10), min_size=1, max_size=3))
+def test_fp_polynomials_at_matrix_match_oracle(drawn, coeff_lists):
+    field, (m,) = drawn
+    polys = [Polynomial(field, cs) for cs in coeff_lists]
+    for f, value in zip(polys, eval_polys_at_matrix(polys, m)):
+        assert value.rows == oracles.poly_eval_matrix(field, list(f.coeffs), m.rows)
+
+
+@given(st.data())
+def test_quadratic_entries_take_the_element_path(data):
+    """Over F_7 with entries a + b sqrt(3), 3 being a non-residue mod 7."""
+    field = PrimeField(7)
+    n = data.draw(st.integers(1, 4))
+    digit = st.integers(0, 6)
+    entry = st.builds(lambda a, b: quad_element(field, a, b, 3), digit, digit)
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    a, b = (Matrix(field, [[quad_element(field, 0, 1, 3)] + rows[0][1:]] + rows[1:])
+            for rows in (data.draw(square), data.draw(square)))
+    oracle = oracles.mat_mul(field, a.rows, b.rows)
+    assert (a * b).rows == oracle
+    for j in range(n):
+        column = tuple(row[j] for row in b.rows)
+        assert a.apply(column) == tuple(row[j] for row in oracle)
+        assert Matrix.identity(field, n).apply(column) == column
+    f = Polynomial(field, data.draw(st.lists(digit, max_size=6)))
+    oracle = oracles.poly_eval_matrix(field, list(f.coeffs), a.rows)
+    assert eval_poly_at_matrix(f, a).rows == oracle

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from finefrob import (
@@ -32,6 +33,7 @@ from finefrob.errors import (
     Reducible,
     ZeroPolynomial,
 )
+from finefrob.poly import _clear_denominators, _rational_roots
 
 
 def q(*coeffs):
@@ -410,3 +412,60 @@ def test_sort_order_is_canonical():
     fact = factor(q(-1, 0, 0, 0, 0, 0, 1))
     degrees = [g.degree for g, _ in fact.factors]
     assert degrees == sorted(degrees)
+
+
+# ---------------------------------------------------------------------------
+# kernels over F_p (int residues), and the rational-root pre-pass
+# ---------------------------------------------------------------------------
+
+@st.composite
+def fp_polynomials(draw, count):
+    p = draw(st.sampled_from((3, 7, 1009)))
+    field = PrimeField(p)
+    coeffs = st.lists(st.sampled_from((0, 1, p - 1)) | st.integers(0, p - 1), max_size=20)
+    return field, [Polynomial(field, draw(coeffs)) for _ in range(count)]
+
+
+def _oracle_add(field, f, g):
+    size = max(len(f), len(g))
+    f, g = list(f) + [field.zero] * (size - len(f)), list(g) + [field.zero] * (size - len(g))
+    return oracles.poly_trim(field, [a + b for a, b in zip(f, g)])
+
+
+@given(fp_polynomials(count=2))
+def test_fp_product_matches_oracle(drawn):
+    field, (f, g) = drawn
+    expected = oracles.poly_trim(field, oracles.poly_mul(field, list(f.coeffs), list(g.coeffs)))
+    assert list((f * g).coeffs) == expected
+
+
+@given(fp_polynomials(count=2))
+def test_fp_divmod_reconstructs(drawn):
+    field, (f, g) = drawn
+    if g.is_zero:
+        with pytest.raises(DivisionByZeroPoly):
+            divmod(f, g)
+        return
+    quotient, rem = divmod(f, g)
+    assert rem.degree < g.degree
+    product = oracles.poly_mul(field, list(quotient.coeffs), list(g.coeffs))
+    assert _oracle_add(field, product, rem.coeffs) == list(f.coeffs)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 400), st.integers(1, 30), st.booleans()),
+        min_size=1,
+        max_size=5,
+    ),
+    st.sampled_from(((1,), (1, 0, 1), (-2, 0, 3), (5, -1, 0, 7))),
+)
+def test_rational_roots_survive_the_root_bound(roots, cofactor):
+    """Every root of a product of (den X - num) and a cofactor without
+    rational roots is found; none is pruned by the root bound."""
+    expected = {Fraction(-num if neg else num, den) for num, den, neg in roots}
+    f = Polynomial(QQ, [Fraction(c) for c in cofactor])
+    for r in expected:
+        f = f * Polynomial(QQ, [-r, Fraction(1)])
+    found = {Fraction(num, den) for num, den in _rational_roots(_clear_denominators(f))}
+    assert found == expected
