@@ -41,6 +41,7 @@ from .series import (
     SeriesSpec,
     apply_series,
     domain_data,
+    padic_truncation_bound,
     radius_of_convergence,
     taylor_oracle,
 )
@@ -415,6 +416,11 @@ def _check_apply_padic(m: Matrix, result, spec: SeriesSpec, seed) -> dict:
     if not isinstance(p, int) or not isinstance(terms, int):
         raise SchemaMismatch("p-adic apply document needs integer p and terms")
     entries = _result_entries(result, m)
+    av = AbsValue.padic(p)
+    # apply goes past TERMS_CAP only by the automatic cutoff at some --prec up
+    # to PRECISION_CAP, the least that certifies it: one term fewer does not
+    if terms > TERMS_CAP and padic_truncation_bound(m, spec, p, terms - 1, seed) >= PRECISION_CAP:
+        raise CapExceeded(f"terms {terms} exceed the cutoff at precision {PRECISION_CAP}")
     stated = result["valuation_bound"]
     bound = math.inf if stated == "inf" else stated
     if bound != math.inf and not isinstance(bound, int):
@@ -423,7 +429,7 @@ def _check_apply_padic(m: Matrix, result, spec: SeriesSpec, seed) -> dict:
     doubled = apply_series(
         m,
         spec,
-        AbsValue.padic(p),
+        av,
         precision=2 * (bound if bound != math.inf else 1),
         terms=2 * terms if terms else None,
         seed=seed,

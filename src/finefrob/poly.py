@@ -6,7 +6,9 @@ or quadratic-extension scalars), derivative, composition, and exact division.
 
 Factorization is complete for both supported ground fields:
 
-* over Q: clear denominators, pull rational roots, then Zassenhaus' modular
+* over Q: clear denominators, pull the rational roots by lifting the roots
+  modulo a small prime p-adically (no integer is factored; von zur Gathen &
+  Gerhard, Modern Computer Algebra, ch. 15), then Zassenhaus' modular
   algorithm: factor modulo small primes (their factor-degree patterns bound
   the degrees of rational factors and often certify irreducibility),
   Hensel-lift the factors modulo the prime with the fewest of them past a
@@ -47,7 +49,7 @@ from .errors import (
     Reducible,
     ZeroPolynomial,
 )
-from .scalar import QQ, is_k_regular_degree
+from .scalar import QQ, PrimeField, is_k_regular_degree, is_probable_prime
 
 __all__ = [
     "Polynomial",
@@ -451,61 +453,48 @@ def _monic(int_coeffs: list[int]) -> Polynomial:
 
 
 def _rational_roots(coeffs: list[int]):
-    """All rational roots (num, den) of a primitive integer polynomial, den > 0."""
-    roots = []
-    a0, ad = coeffs[0], coeffs[-1]
-    if a0 == 0:
-        raise FactorizationFailed("zero constant term after X-stripping")  # pragma: no cover
-    deg = len(coeffs) - 1
-    bound = _root_bound(coeffs)
-    nums = _divisors(abs(a0))
-    # den X - num divides the polynomial over Z, so den k - num divides f(k)
-    at = {1: sum(coeffs), -1: sum(c * (-1) ** i for i, c in enumerate(coeffs))}
-    for den in _divisors(ad):
-        for size in nums:
-            if size > bound * den:
+    """All rational roots (num, den) of a primitive squarefree integer polynomial, den > 0.
+
+    Modulo the least odd prime p dividing neither lc nor f' at a root of f mod p,
+    a rational root num/den (den | lc) is a simple root with a unique Newton lift.
+    Past twice Cauchy's bound |lc num/den| < |lc| + max |a_i|, the symmetric
+    residue of lc x is lc num/den; an exact evaluation keeps the true roots.
+    """
+    lc = coeffs[-1]
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    p = 3
+    while True:
+        if lc % p and is_probable_prime(p):
+            residues = [r for r in range(p) if _eval(coeffs, r, p) == 0]
+            if all(_eval(deriv, r, p) for r in residues):
                 break
-            for num in (size, -size):
-                if math.gcd(num, den) != 1 or any(
-                    den * k != num and at[k] % (den * k - num) for k in at
-                ):
-                    continue
-                # den^deg * f(num/den), evaluated in integers
-                val = sum(c * num**i * den ** (deg - i) for i, c in enumerate(coeffs))
-                if val == 0:
-                    roots.append((num, den))
+        p += 2
+    bound = 2 * (abs(lc) + max(map(abs, coeffs)))
+    modulus = p
+    while modulus <= bound:
+        modulus *= modulus
+        residues = [
+            (r - _eval(coeffs, r, modulus) * pow(_eval(deriv, r, modulus), -1, modulus)) % modulus
+            for r in residues
+        ]
+    deg = len(coeffs) - 1
+    roots = []
+    for r in residues:
+        y = (lc * r + modulus // 2) % modulus - modulus // 2
+        g = math.gcd(y, lc)
+        num, den = y // g, lc // g
+        # den^deg * f(num/den), evaluated in integers
+        if sum(c * num**i * den ** (deg - i) for i, c in enumerate(coeffs)) == 0:
+            roots.append((num, den))
     return roots
 
 
-def _root_bound(coeffs: list[int]) -> int:
-    """The least integer b at or above Fujiwara's bound on the roots' moduli,
-    2 max(|a_(d-1)/a_d|, |a_(d-2)/a_d|^(1/2), ..., |a_0/(2 a_d)|^(1/d)):
-    b^i |a_d| >= 2^i |a_(d-i)| for every i, with a_0 halved."""
-    deg = len(coeffs) - 1
-
-    def covers(b: int) -> bool:
-        return all(
-            b ** (deg - i) * abs(coeffs[-1]) >= abs(c) << (deg - i - (i == 0))
-            for i, c in enumerate(coeffs[:-1])
-        )
-
-    low, high = 0, 1
-    while not covers(high):
-        low, high = high, 2 * high
-    while high - low > 1:  # covers(high) holds and covers(low) does not
-        mid = (low + high) // 2
-        low, high = (low, mid) if covers(mid) else (mid, high)
-    return high
-
-
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of n >= 1, ascending."""
-    from .scalar import factor_int
-
-    divs = [1]
-    for q, e in factor_int(n).items():
-        divs = [d * q**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+def _eval(coeffs: list[int], x: int, m: int) -> int:
+    """The value at x modulo m of the integer polynomial coeffs."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * x + c) % m
+    return value
 
 
 def _zassenhaus(coeffs: list[int]) -> list[list[int]]:
@@ -537,8 +526,6 @@ def _modular_factors(coeffs: list[int]) -> tuple[set[int], list[Polynomial]] | N
     good prime's degree multiset.  The factors returned are those of the good
     prime with the fewest, which keeps recombination smallest.
     """
-    from .scalar import PrimeField, is_probable_prime
-
     deg = len(coeffs) - 1
     allowed = set(range(deg + 1))
     fewest = None

@@ -16,6 +16,14 @@ Radicals are kept canonical so equality is syntactic:
   non-residue differs from it by a square factor, which moves into ``b``;
   square roots of residues use the smaller of the two roots).
 
+Over Q, ``d`` is squarefree whenever a value is built, and no integer is
+factored: a radicand from outside (the parser, ``sqrt``) is reduced once, by
+trial division up to the cube root of its cofactor and one ``isqrt`` square
+test (Cohen, GTM 138, section 1.7); arithmetic keeps the ``d`` of its
+operands.  A cofactor that is no square and stays at least LIMIT^3 after
+division up to LIMIT = 2^20 raises ``CapExceeded``: 2^20 decides every
+radicand up to 2^60 within about 0.1 s.
+
 Fields of characteristic 2 are rejected outright.
 """
 
@@ -26,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    CapExceeded,
     CharTwo,
     FieldMismatch,
     MixedExtension,
@@ -44,7 +53,6 @@ __all__ = [
     "AbsValue",
     "field_from_tag",
     "is_probable_prime",
-    "factor_int",
     "squarefree_decompose",
     "tonelli_shanks",
     "padic_valuation",
@@ -61,6 +69,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+LIMIT = 1 << 20  # trial division bound of squarefree_decompose (module docstring)
 
 
 def is_probable_prime(n: int) -> bool:
@@ -88,59 +98,34 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite n (n odd, not a prime power edge case)."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"rho failed on {n}")  # pragma: no cover
-
-
-def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
-    if n < 1:
-        raise ValueError("factor_int expects n >= 1")
-    out: dict[int, int] = {}
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        for q in (2, 3, 5, 7, 11, 13):
-            if m % q == 0:
-                stack.append(q)
-                stack.append(m // q)
-                break
-        else:
-            d = _pollard_rho(m)
-            stack.append(d)
-            stack.append(m // d)
-    return out
-
-
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write nonzero n as s * c**2 with s squarefree and c > 0; return (s, c)."""
+    """Write nonzero n as s * c**2 with s squarefree and c > 0; return (s, c).
+
+    After trial division by every q with q^3 <= the cofactor m, m is 1, a
+    prime, a prime's square or a product of two primes: one isqrt decides.
+    """
     if n == 0:
         raise ValueError("zero has no squarefree decomposition")
-    sign = -1 if n < 0 else 1
-    s, c = 1, 1
-    for q, e in factor_int(abs(n)).items():
-        c *= q ** (e // 2)
-        if e % 2:
-            s *= q
-    return sign * s, c
+    m, s, c = abs(n), 1, 1
+    q = 2
+    while q <= LIMIT and q * q * q <= m:
+        if m % q == 0:
+            e = 0
+            while m % q == 0:
+                m //= q
+                e += 1
+            c *= q ** (e // 2)
+            if e % 2:
+                s *= q
+        q += 1 if q == 2 else 2
+    root = math.isqrt(m)
+    if root * root == m:
+        c *= root
+    elif q * q * q <= m:
+        raise CapExceeded(f"radicand {n} keeps a cofactor past {LIMIT}^3 after trial division")
+    else:
+        s *= m
+    return (s if n > 0 else -s), c
 
 
 def tonelli_shanks(a: int, p: int) -> int:
@@ -251,12 +236,11 @@ class RationalField:
         x = self.coerce(x)
         if x == 0:
             return Fraction(0)
-        uv = x.numerator * x.denominator
-        s, c = squarefree_decompose(uv)
+        s, c = squarefree_decompose(x.numerator * x.denominator)
         coeff = Fraction(c, x.denominator)
         if s == 1:
             return coeff
-        return quad_element(self, Fraction(0), coeff, s)
+        return _quad(self, Fraction(0), coeff, s)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -439,7 +423,7 @@ class PrimeField:
         c = tonelli_shanks(
             x.residue * pow(self.nonresidue, self.p - 2, self.p) % self.p, self.p
         )
-        return quad_element(self, self.zero, FpElement(c, self.p), self.nonresidue)
+        return _quad(self, self.zero, FpElement(c, self.p), self.nonresidue)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -471,8 +455,10 @@ def field_from_tag(tag: str):
 class QuadElement:
     """a + b*sqrt(d) with a, b ground elements, d canonical, and b != 0.
 
-    Instances are only built through :func:`quad_element`, which canonicalizes
-    d and collapses b == 0 back to the ground field.
+    Values from outside are built through :func:`quad_element`, which
+    canonicalizes d; arithmetic builds its results on the canonical d it
+    already holds, through :func:`_quad`.  Both collapse b == 0 back to the
+    ground field.
     """
 
     __slots__ = ("field", "a", "b", "d")
@@ -506,7 +492,7 @@ class QuadElement:
         return self.a == self.field.zero
 
     def conjugate(self) -> "QuadElement":
-        return quad_element(self.field, self.a, -self.b, self.d)
+        return _quad(self.field, self.a, -self.b, self.d)
 
     def norm(self):
         """Relative norm a^2 - b^2 d (a ground element)."""
@@ -516,7 +502,7 @@ class QuadElement:
         nrm = self.norm()
         if nrm == self.field.zero:
             raise ZeroDivisionError("inverse of zero")
-        return quad_element(self.field, self.a / nrm, -self.b / nrm, self.d)
+        return _quad(self.field, self.a / nrm, -self.b / nrm, self.d)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -525,7 +511,7 @@ class QuadElement:
         if lifted is None:
             return NotImplemented
         oa, ob = lifted
-        return quad_element(self.field, self.a + oa, self.b + ob, self.d)
+        return _quad(self.field, self.a + oa, self.b + ob, self.d)
 
     __radd__ = __add__
 
@@ -534,7 +520,7 @@ class QuadElement:
         if lifted is None:
             return NotImplemented
         oa, ob = lifted
-        return quad_element(self.field, self.a - oa, self.b - ob, self.d)
+        return _quad(self.field, self.a - oa, self.b - ob, self.d)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -545,7 +531,7 @@ class QuadElement:
             return NotImplemented
         oa, ob = lifted
         dg = self.field.from_int(self.d)
-        return quad_element(
+        return _quad(
             self.field,
             self.a * oa + self.b * ob * dg,
             self.a * ob + self.b * oa,
@@ -562,15 +548,14 @@ class QuadElement:
         if ob == self.field.zero:
             if oa == self.field.zero:
                 raise ZeroDivisionError("division by zero")
-            return quad_element(self.field, self.a / oa, self.b / oa, self.d)
-        other_q = quad_element(self.field, oa, ob, self.d)
-        return self * other_q.inverse()
+            return _quad(self.field, self.a / oa, self.b / oa, self.d)
+        return self * _quad(self.field, oa, ob, self.d).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse().__mul__(other)
 
     def __neg__(self):
-        return quad_element(self.field, -self.a, -self.b, self.d)
+        return _quad(self.field, -self.a, -self.b, self.d)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -608,6 +593,13 @@ class QuadElement:
 _QUAD_TOKEN = object()
 
 
+def _quad(field, a, b, d: int):
+    """a + b*sqrt(d) for ground elements a, b and a canonical d; a when b == 0."""
+    if not b:
+        return a
+    return QuadElement(field, a, b, d, _token=_QUAD_TOKEN)
+
+
 def quad_element(field, a, b, d):
     """Build a + b*sqrt(d), canonicalizing d and reducing to the ground field.
 
@@ -622,14 +614,11 @@ def quad_element(field, a, b, d):
         d = QQ.coerce(d)
         if d == 0:
             raise ValueError("d must be nonzero")
-        uv = d.numerator * d.denominator
-        s, c = squarefree_decompose(uv)
+        s, c = squarefree_decompose(d.numerator * d.denominator)
         b = b * Fraction(c, d.denominator)
         if s == 1:
             return a + b
-        if b == 0:
-            return a
-        return QuadElement(field, a, b, s, _token=_QUAD_TOKEN)
+        return _quad(field, a, b, s)
     # prime field
     dg = field.coerce(d)
     if dg.residue == 0:
@@ -641,10 +630,7 @@ def quad_element(field, a, b, d):
     nr = field.nonresidue
     ratio = dg / field.from_int(nr)
     c = tonelli_shanks(ratio.residue, field.p)
-    b = b * field.from_int(c)
-    if b == field.zero:
-        return a
-    return QuadElement(field, a, b, nr, _token=_QUAD_TOKEN)
+    return _quad(field, a, b * field.from_int(c), nr)
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +643,7 @@ def k_decompose(x):
         field = x.field
         if x.a == field.zero:
             return field.zero, x
-        vertical = QuadElement(field, field.zero, x.b, x.d, _token=_QUAD_TOKEN)
-        return x.a, vertical
+        return x.a, _quad(field, field.zero, x.b, x.d)
     return x, _ground_zero_like(x)
 
 
@@ -694,7 +679,7 @@ def re_im(x):
         raise NotImaginary("real/imaginary split needs an ordered ground field")
     if x.d > 0:
         raise NotImaginary(f"sqrt({x.d}) is real")
-    return x.a, x.b * x.field.sqrt(Fraction(-x.d))
+    return x.a, x.b if x.d == -1 else _quad(x.field, x.field.zero, x.b, -x.d)
 
 
 def is_k_regular_degree(d: int, field) -> bool:

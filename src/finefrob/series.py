@@ -60,6 +60,7 @@ __all__ = [
     "domain_data",
     "series_even_odd",
     "apply_series",
+    "padic_truncation_bound",
     "apply_named_closed_form",
     "complete_jc_of_image",
     "taylor_oracle",
@@ -747,6 +748,12 @@ def _padic_cutoff(dec: FineFrobenius, spec: SeriesSpec, p: int, target, terms):
     if bound != math.inf:
         bound = math.floor(bound)
     return terms, bound
+
+
+def padic_truncation_bound(m: Matrix, spec: SeriesSpec, p: int, terms: int, seed: int = 0):
+    """The valuation bound apply_series certifies for f(M) cut off after ``terms``."""
+    _require_rational_matrix(m)
+    return _padic_cutoff(fine_from_spectrum(m, spectrum(m, seed)), spec, p, None, terms)[1]
 
 
 # -- closed forms ------------------------------------------------------------

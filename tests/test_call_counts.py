@@ -6,18 +6,22 @@ wrappers, and each CLI command is run once on a golden input.  A
 decomposition computes its matrix's spectral data once; the Newton route over
 Q factors nothing; ``check`` recomputes on its own and keeps its counts.
 The CRT projectors of a matrix share one table of its powers, counted by
-wrapping ``Matrix.__mul__``.
+wrapping ``Matrix.__mul__``.  Arithmetic in a quadratic extension keeps the
+canonical radicand of its operands: only ``sqrt`` and ``quad_element`` reduce
+one, counted by wrapping ``squarefree_decompose``.
 """
 
 import collections
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import finefrob.matrix
 import finefrob.poly
-from finefrob import Matrix, PrimeField, crt_projectors, spectrum
+import finefrob.scalar
+from finefrob import QQ, Matrix, PrimeField, crt_projectors, quad_element, spectrum
 from finefrob.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -132,3 +136,23 @@ def test_crt_projectors_share_one_power_table(monkeypatch):
     assert products["mul"] == spectral.minpoly.degree - 2
     monkeypatch.undo()
     assert sum(projectors[1:], projectors[0]) == Matrix.identity(m.field, m.n)
+
+
+def test_quadratic_arithmetic_reduces_no_radicand(monkeypatch):
+    x = quad_element(QQ, 1, 2, 6)
+    y = quad_element(QQ, Fraction(-3, 4), 5, 6)
+    calls = collections.Counter()
+    original = finefrob.scalar.squarefree_decompose
+
+    def counting(n):
+        calls["squarefree"] += 1
+        return original(n)
+
+    monkeypatch.setattr(finefrob.scalar, "squarefree_decompose", counting)
+    results = [x + y, x - y, x * y, x / y, -x, x**3, x**-2, x.inverse(), x.conjugate()]
+    results += [x + 1, 2 - x, x * Fraction(1, 3), 7 / x, (x + y) * (x - y)]
+    assert calls["squarefree"] == 0
+    assert all(r.d == 6 for r in results if isinstance(r, finefrob.scalar.QuadElement))
+    root = QQ.sqrt(Fraction(8, 3))
+    assert calls["squarefree"] == 1
+    assert root == quad_element(QQ, 0, Fraction(2, 3), 6)

@@ -2,10 +2,14 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+import finefrob.cli
 from finefrob.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write_doc(tmp_path, name, obj):
@@ -30,6 +34,7 @@ def mat_doc(entries, field="Q"):
 
 
 WORKED = [["2", "5"], ["-1", "0"]]  # minpoly X^2 - 2X + 5
+N = (2**62 + 135) * (2**63 + 29)  # a 126-bit semiprime
 ROT = [["0", "-1"], ["1", "0"]]
 JORDAN = [["1", "1"], ["0", "1"]]
 
@@ -256,6 +261,56 @@ def test_check_apply_padic(tmp_path, capsys):
     assert verdict["result"]["passed"] is True
 
 
+@pytest.mark.parametrize("command", ["cjc", "fine"])
+def test_check_semiprime_companion(tmp_path, capsys, command):
+    # minimal polynomial X^2 + N: no divisor of N is searched for
+    path = write_doc(tmp_path, "m.json", mat_doc([["0", str(-N)], ["1", "0"]]))
+    code, verdict = check_round_trip(tmp_path, capsys, [command, path], path)
+    assert code == 0
+    assert verdict["result"]["passed"] is True
+
+
+def test_check_padic_apply_terms_cap_exits_2(tmp_path, capsys):
+    expected = (GOLDEN / "expected" / "apply-sin-padic3-q_semisimple.txt").read_text()
+    doc = json.loads(expected.split("\n", 1)[1])
+    doc["result"]["terms"] = 1000000
+    rpath = write_doc(tmp_path, "r.json", doc)
+    code, verdict = run_json(
+        capsys, ["check", str(GOLDEN / "inputs" / "q_semisimple.json"), rpath]
+    )
+    assert code == 2
+    assert verdict["error"]["code"] == "CapExceeded"
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("terms, capped", [(10922, False), (10923, True)])
+def test_check_padic_apply_terms_cap_is_the_cutoff_at_the_precision_cap(
+    tmp_path, capsys, monkeypatch, terms, capped
+):
+    # sin on diag(9, 27) at p = 3: the truncation after t terms certifies
+    # valuation 2(t + 1) - t/2, so apply --prec 16384 picks 10922 terms
+    path = write_doc(tmp_path, "m.json", mat_doc([["9", "0"], ["0", "27"]]))
+    code, doc = run_json(capsys, ["apply", path, "--fn", "sin", "--abs", "padic:3"])
+    assert code == 0
+    doc["result"]["terms"] = terms
+    rpath = write_doc(tmp_path, "r.json", doc)
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(finefrob.cli, "apply_series", reached)
+    if capped:
+        code, verdict = run_json(capsys, ["check", path, rpath])
+        assert code == 2
+        assert verdict["error"]["code"] == "CapExceeded"
+    else:
+        with pytest.raises(_Reached):
+            main(["check", path, rpath])
+
+
 def test_check_rejects_result_without_command(tmp_path, capsys):
     path = write_doc(tmp_path, "m.json", mat_doc(WORKED))
     rpath = write_doc(tmp_path, "r.json", {"result": {}})
@@ -289,6 +344,14 @@ def test_apply_outside_domain_exits_2(tmp_path, capsys):
 def test_apply_caps_exit_2(tmp_path, capsys, flag, value):
     path = write_doc(tmp_path, "m.json", mat_doc(WORKED))
     code, doc = run_json(capsys, ["apply", path, "--fn", "exp", "--abs", "arch", flag, value])
+    assert code == 2
+    assert doc["error"]["code"] == "CapExceeded"
+
+
+def test_semiprime_radicand_exits_2(tmp_path, capsys):
+    entry = {"a": "0", "b": "1", "d": str(N)}
+    path = write_doc(tmp_path, "m.json", mat_doc([[entry, "1"], ["0", "1"]]))
+    code, doc = run_json(capsys, ["minpoly", path])
     assert code == 2
     assert doc["error"]["code"] == "CapExceeded"
 

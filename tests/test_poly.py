@@ -34,6 +34,12 @@ from finefrob.errors import (
     ZeroPolynomial,
 )
 from finefrob.poly import _clear_denominators, _rational_roots
+from finefrob.scalar import is_probable_prime
+
+# a 126-bit semiprime: listing the divisors of a constant term like it means factoring it
+N_FACTORS = (2**62 + 135, 2**63 + 29)
+N = N_FACTORS[0] * N_FACTORS[1]
+PRIMORIAL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def q(*coeffs):
@@ -276,6 +282,8 @@ def test_factor_matches_sympy():
     # minimal polynomials of cbrt2 + sqrt-3 and cbrt3 + sqrt-3 (Galois group S3):
     # each splits modulo every prime, so their product needs subsets of size >= 2
     cases.append(q(31, 36, 27, -4, 9, 0, 1) * q(36, 54, 27, -6, 9, 0, 1))
+    # a 126-bit semiprime constant term
+    cases += [q(N, 1, 0, 1), q(N, 1, 0, 0, 1)]
     for rational in (False, True):
         pool = _random_irreducibles(sympy, rng, 12, rational)
         for _ in range(6):
@@ -287,6 +295,45 @@ def test_factor_matches_sympy():
             cases.append(f)
     for f in cases:
         assert dict(factor(f).factors) == _sympy_factors(sympy, f), f
+
+
+def _next_prime(k: int) -> int:
+    while not is_probable_prime(k):
+        k += 1
+    return k
+
+
+def _hard_primes():
+    """The primes of a constant term: N, two 20- to 40-bit primes, or the
+    first k primes (a primorial, with 2^k divisors)."""
+    return st.one_of(
+        st.just(list(N_FACTORS)),
+        st.lists(st.integers(2**19, 2**40), min_size=2, max_size=2).map(
+            lambda ks: [_next_prime(k) for k in ks]
+        ),
+        st.integers(2, len(PRIMORIAL)).map(lambda k: list(PRIMORIAL[:k])),
+    )
+
+
+@given(
+    _hard_primes(),
+    st.lists(st.tuples(st.integers(1, 30), st.booleans()), max_size=5),
+    st.lists(st.integers(0, 5), min_size=len(PRIMORIAL), max_size=len(PRIMORIAL)),
+    st.sampled_from(((1,), (0, 1), (1, 0, 1), (-3, 0, 5), (3, -1, 0, 2))),
+)
+def test_factor_with_hard_constant_term_matches_sympy(primes, roots, slots, tail):
+    """Products of up to five den X - num and a cofactor whose constant term
+    is a semiprime or a primorial: each prime goes to one num or to the
+    cofactor's constant term, so the product's constant term is +-their
+    product."""
+    sympy = pytest.importorskip("sympy")
+    nums = [1] * (len(roots) + 1)  # nums[0] is the cofactor's constant term
+    for prime, slot in zip(primes, slots):
+        nums[slot if slot <= len(roots) else 0] *= prime
+    f = q(nums[0], *tail)
+    for num, (den, negative) in zip(nums[1:], roots):
+        f = f * q(num if negative else -num, den)
+    assert dict(factor(f).factors) == _sympy_factors(sympy, f), f
 
 
 def test_factor_degree_cap():
@@ -460,9 +507,9 @@ def test_fp_divmod_reconstructs(drawn):
     ),
     st.sampled_from(((1,), (1, 0, 1), (-2, 0, 3), (5, -1, 0, 7))),
 )
-def test_rational_roots_survive_the_root_bound(roots, cofactor):
+def test_rational_roots_found_by_lifting(roots, cofactor):
     """Every root of a product of (den X - num) and a cofactor without
-    rational roots is found; none is pruned by the root bound."""
+    rational roots is found by lifting its image modulo a prime."""
     expected = {Fraction(-num if neg else num, den) for num, den, neg in roots}
     f = Polynomial(QQ, [Fraction(c) for c in cofactor])
     for r in expected:

@@ -21,6 +21,7 @@ from finefrob import (
     re_im,
 )
 from finefrob.errors import (
+    CapExceeded,
     CharTwo,
     FieldMismatch,
     MixedExtension,
@@ -293,6 +294,13 @@ def test_squarefree_decompose():
     for n in [12, 360, -99, 7, 1024]:
         s, c = squarefree_decompose(n)
         assert s * c * c == n
+    # a square cofactor is settled by isqrt, however large
+    assert squarefree_decompose(3 * (2**61 - 1) ** 2) == (3, 2**61 - 1)
+    # below 2^60 the cofactor left past the cube root is a prime
+    assert squarefree_decompose(2**59 - 55) == (2**59 - 55, 1)
+    # two 40-bit primes: neither found by trial division up to 2^20
+    with pytest.raises(CapExceeded):
+        squarefree_decompose((2**39 + 23) * (2**39 + 39))
 
 
 def test_padic_valuation():
