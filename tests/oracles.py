@@ -277,6 +277,92 @@ def matrix_series_sum(field, coeff_fn, a, terms, powers=None):
 
 
 # ---------------------------------------------------------------------------
+# fine decomposition clauses, pair by pair
+# ---------------------------------------------------------------------------
+
+def is_ground_square(x):
+    """Whether a Fraction or a prime-field element is a square in its field."""
+    if isinstance(x, Fraction):
+        num, den = x.numerator, x.denominator
+        return num >= 0 and math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
+    return x.residue == 0 or pow(x.residue, (x.p - 1) // 2, x.p) == 1
+
+
+def _distinct(items):
+    return all(x != y for i, x in enumerate(items) for y in items[i + 1 :])
+
+
+def fine_clauses(field, a0, linear, quadratic):
+    """The eleven clauses of a fine record, each product taken where it is read.
+
+    ``linear`` holds (gamma, A) and ``quadratic`` (alpha, n, B, P), with the
+    matrices as nested tuples.  The kernel clause reads each P_j as
+    B_j^2 / -n_j, so it is false whenever some n_j is 0.
+    """
+    n = len(a0)
+    zero = mat_zero(field, n)
+
+    def mul(x, y):
+        return mat_mul(field, x, y)
+
+    gammas = [g for g, _ in linear]
+    pairs = [(alpha, nj) for alpha, nj, _, _ in quadratic]
+    a_list = [a for _, a in linear]
+    b_list = [b for _, _, b, _ in quadratic]
+    complement = None
+    if all(nj != field.zero for _, nj, _, _ in quadratic):
+        complement = mat_identity(field, n)
+        for a in a_list:
+            complement = mat_sub(complement, a)
+        for _, nj, b, _ in quadratic:
+            complement = mat_add(complement, mat_scale(field.one / nj, mul(b, b)))
+    return [
+        (
+            "eigenvalues_nonzero_distinct",
+            field.zero not in gammas and _distinct(gammas),
+        ),
+        ("conjugate_pairs_distinct", _distinct(pairs)),
+        ("nonsquare_norms", not any(is_ground_square(-nj) for _, nj in pairs)),
+        (
+            "linear_idempotent_orthogonal",
+            all(
+                mul(x, y) == (x if i == h else zero)
+                for i, x in enumerate(a_list)
+                for h, y in enumerate(a_list)
+            ),
+        ),
+        (
+            "linear_quad_orthogonal",
+            all(mul(a, b) == zero == mul(b, a) for a in a_list for b in b_list),
+        ),
+        (
+            "quad_cross_orthogonal",
+            all(
+                mul(x, y) == zero
+                for j, x in enumerate(b_list)
+                for l, y in enumerate(b_list)
+                if j != l
+            ),
+        ),
+        (
+            "cube_identity",
+            all(mul(b, mul(b, b)) == mat_scale(-nj, b) for _, nj, b, _ in quadratic),
+        ),
+        (
+            "projector_consistency",
+            all(mul(b, b) == mat_scale(-nj, p) for _, nj, b, p in quadratic),
+        ),
+        ("kernel_complement", complement is not None and a0 == complement),
+        (
+            "kernel_idempotent_orthogonal",
+            mul(a0, a0) == a0
+            and all(mul(a0, x) == zero == mul(x, a0) for x in a_list + b_list),
+        ),
+        ("nonzero_covariants", all(x != zero for x in a_list + b_list)),
+    ]
+
+
+# ---------------------------------------------------------------------------
 # mpmath-side oracles
 # ---------------------------------------------------------------------------
 

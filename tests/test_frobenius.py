@@ -1,12 +1,15 @@
 """Fine Frobenius covariants and their normalized form."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import corpus
+import oracles
 from finefrob import (
     Matrix,
     Polynomial,
@@ -20,6 +23,7 @@ from finefrob import (
     reconstruct_normalized,
     verify_fine,
 )
+from finefrob.jsonio import matrix_from_json
 from finefrob.errors import (
     NegativeNormComponent,
     NotSemisimple,
@@ -169,6 +173,78 @@ def test_verify_detects_wrong_kernel_projector():
     report = verify_fine(bad)
     assert not report.passed
     assert dict(report.checks)["kernel_complement"] is False
+
+
+def _with(items, h, item):
+    return items[:h] + (item,) + items[h + 1 :]
+
+
+def _single_corruptions(dec):
+    """dec, then each record that differs from it in one place: an entry +1,
+    a scalar +1, n = 0, B and P swapped, a covariant dropped or doubled."""
+    field = dec.field
+    replace = dataclasses.replace
+    lin, quad = dec.linear, dec.quadratic
+
+    def bump(mat, i, j):
+        rows = [list(row) for row in mat.rows]
+        rows[i][j] = rows[i][j] + field.one
+        return Matrix(field, rows)
+
+    yield dec
+    for i in range(dec.dim):
+        for j in range(dec.dim):
+            yield replace(dec, kernel_projector=bump(dec.kernel_projector, i, j))
+            for h, cov in enumerate(lin):
+                bumped = replace(cov, matrix=bump(cov.matrix, i, j))
+                yield replace(dec, linear=_with(lin, h, bumped))
+            for h, cov in enumerate(quad):
+                for name in ("vertical", "projector"):
+                    bumped = replace(cov, **{name: bump(getattr(cov, name), i, j)})
+                    yield replace(dec, quadratic=_with(quad, h, bumped))
+    for h, cov in enumerate(lin):
+        for gamma in (cov.eigenvalue + field.one, field.zero):
+            yield replace(dec, linear=_with(lin, h, replace(cov, eigenvalue=gamma)))
+        yield replace(dec, linear=lin[:h] + lin[h + 1 :])
+        yield replace(dec, linear=lin + (cov,))
+    for h, cov in enumerate(quad):
+        for changed in (
+            replace(cov, alpha=cov.alpha + field.one),
+            replace(cov, n=cov.n + field.one),
+            replace(cov, n=field.zero),
+            replace(cov, vertical=cov.projector, projector=cov.vertical),
+        ):
+            yield replace(dec, quadratic=_with(quad, h, changed))
+        yield replace(dec, quadratic=quad[:h] + quad[h + 1 :])
+        yield replace(dec, quadratic=quad + (cov,))
+    for kernel in (Matrix.zeros(field, dec.dim), Matrix.identity(field, dec.dim)):
+        yield replace(dec, kernel_projector=kernel)
+
+
+@pytest.mark.parametrize("name", ["q_semisimple", "f7_semisimple"])
+def test_verify_fine_matches_pairwise_reference(name):
+    path = Path(__file__).resolve().parent / "golden" / "inputs" / f"{name}.json"
+    dec = fine_frobenius(matrix_from_json(json.loads(path.read_text())))
+    assert (len(dec.linear), len(dec.quadratic)) == (1, 1)
+    records = list(_single_corruptions(dec))
+    assert len(records) == 4 * dec.dim**2 + 13
+    failing = 0
+    for bad in records:
+        expected = oracles.fine_clauses(
+            dec.field,
+            bad.kernel_projector.rows,
+            [(cov.eigenvalue, cov.matrix.rows) for cov in bad.linear],
+            [
+                (cov.alpha, cov.n, cov.vertical.rows, cov.projector.rows)
+                for cov in bad.quadratic
+            ],
+        )
+        report = verify_fine(bad)
+        assert list(report.checks) == expected
+        failing += not report.passed
+    # only the record itself and gamma + 1, alpha + 1 pass: no clause ties
+    # the eigenvalue data to the matrices (check's reconstructs_input does)
+    assert failing == len(records) - 3
 
 
 # ---------------------------------------------------------------------------
