@@ -20,7 +20,7 @@ import mpmath
 
 from . import jsonio
 from .errors import CapExceeded, DomainError, InputError, SchemaMismatch
-from .frobenius import fine_frobenius, normalize, reconstruct, verify_fine
+from .frobenius import fine_frobenius, normalize, verify_fine
 from .jordan_chevalley import (
     CompleteJC,
     complete_jc,
@@ -338,11 +338,19 @@ def _check_cjc(input_doc, result, seed) -> dict:
 def _check_fine(input_doc, result, seed) -> dict:
     m = jsonio.matrix_from_json(input_doc)
     dec = jsonio.fine_from_json(result)
-    if dec.dim != m.n:
-        raise SchemaMismatch("result document does not match the input dimension")
+    _same_shape(m, dec.kernel_projector)
+    for cov in dec.linear:
+        _same_shape(m, cov.matrix)
+    for cov in dec.quadratic:
+        _same_shape(m, cov.vertical)
+        _same_shape(m, cov.projector)
     report = verify_fine(dec)
     clauses = dict(report.checks)
-    clauses["reconstructs_input"] = report.passed and reconstruct(dec) == m
+    # M = sum gamma_i A_i + sum (alpha_j P_j + B_j), as reconstruct sums it
+    terms = [cov.matrix.scale(cov.eigenvalue) for cov in dec.linear]
+    terms += [cov.projector.scale(cov.alpha) + cov.vertical for cov in dec.quadratic]
+    total = sum(terms, Matrix.zeros(m.field, m.n))
+    clauses["reconstructs_input"] = report.passed and total == m
     return clauses
 
 
@@ -368,9 +376,10 @@ def _check_normalize(input_doc, result, seed) -> dict:
         imaginary = jsonio.scalar_from_json(field, item["imaginary"])
         b_unit = jsonio.matrix_from_json(item["B_unit"])
         _same_shape(m, b_unit)
-        cube_ok = cube_ok and b_unit**3 == -b_unit
+        square = b_unit * b_unit
+        cube_ok = cube_ok and square * b_unit == -b_unit
         imaginary_ok = imaginary_ok and imaginary * imaginary == n_val
-        acc = acc + (b_unit**2).scale(-alpha) + b_unit.scale(imaginary)
+        acc = acc + square.scale(-alpha) + b_unit.scale(imaginary)
     return {
         "cube_identity": cube_ok,
         "imaginary_squares_to_n": imaginary_ok,
@@ -426,6 +435,11 @@ def _check_apply_padic(m: Matrix, result, spec: SeriesSpec, seed) -> dict:
     if bound != math.inf and not isinstance(bound, int):
         raise SchemaMismatch(f"bad valuation bound {stated!r}")
     claimed = Matrix(QQ, [[QQ.parse(_cli_str(e)) for e in row] for row in entries])
+    # with terms 0 the doubled run searches a cutoff for twice the bound, which
+    # apply states as certified at 0 terms: a higher one is forged, and its
+    # search could run far past any cap
+    if not terms and bound > padic_truncation_bound(m, spec, p, 0, seed):
+        return {"doubled_cutoff_within_bound": False}
     doubled = apply_series(
         m,
         spec,

@@ -175,140 +175,96 @@ def fine_from_spectrum(m: Matrix, spectral: Spectrum) -> FineFrobenius:
 
 
 def verify_fine(dec: FineFrobenius) -> VerificationReport:
-    """Exact per-identity re-check of the covariant system."""
+    """Exact per-identity re-check of the covariant system.
+
+    Every product X*Y of two members of [A0, A_1..A_k, B_1..B_q] is taken
+    once, in one table, and each clause reads its products there: B_j^2 on
+    the diagonal, B_j^3 = B_j^2 * B_j.  A record that passes costs
+    (k + q + 1)^2 + q products.  The clauses, in report order: the gamma_i
+    are nonzero and distinct; the (alpha_j, n_j) are distinct; no -n_j is a
+    square; A_i A_h = A_i if i = h, else 0; A_i B_j = B_j A_i = 0;
+    B_j B_l = 0 for j != l; B_j^3 = -n_j B_j; B_j^2 = -n_j P_j; every
+    n_j != 0 and A0 = I - sum A_i - sum B_j^2 / -n_j; A0^2 = A0 and
+    A0 X = X A0 = 0 for every other member X; no A_i or B_j is zero.  Every
+    covariant must be a dim x dim matrix over ``dec.field``.
+    """
     field = dec.field
     zero = Matrix.zeros(field, dec.dim)
-    ident = Matrix.identity(field, dec.dim)
+    a0 = dec.kernel_projector
     a_list = [cov.matrix for cov in dec.linear]
-    b_list = [cov.vertical for cov in dec.quadratic]
-    checks = []
-
+    members = [a0, *a_list, *(cov.vertical for cov in dec.quadratic)]
+    table = [[x * y for y in members] for x in members]
+    lin = range(1, 1 + len(a_list))
+    quad = range(1 + len(a_list), len(members))
+    squares = [table[j][j] for j in quad]
+    norms = [cov.n for cov in dec.quadratic]
     gammas = [cov.eigenvalue for cov in dec.linear]
-    checks.append(
-        (
-            "eigenvalues_nonzero_distinct",
-            all(g != field.zero for g in gammas)
-            and all(
-                gammas[i] != gammas[h]
-                for i in range(len(gammas))
-                for h in range(i + 1, len(gammas))
-            ),
-        )
-    )
     pairs = [(cov.alpha, cov.n) for cov in dec.quadratic]
-    checks.append(
-        (
-            "conjugate_pairs_distinct",
-            all(
-                pairs[j] != pairs[l]
-                for j in range(len(pairs))
-                for l in range(j + 1, len(pairs))
-            ),
-        )
-    )
-    checks.append(
-        (
-            "nonsquare_norms",
-            all(not field.is_square(-cov.n)[0] for cov in dec.quadratic),
-        )
-    )
-    checks.append(
+    complement = None  # I - sum A_i - sum B_j^2 / -n_j, when every n_j != 0
+    if field.zero not in norms:
+        complement = Matrix.identity(field, dec.dim) - sum(a_list, zero)
+        for sq, n in zip(squares, norms):
+            complement = complement + sq.scale(field.one / n)
+    others = range(1, len(members))
+    checks = (
+        ("eigenvalues_nonzero_distinct", field.zero not in gammas and _distinct(gammas)),
+        ("conjugate_pairs_distinct", _distinct(pairs)),
+        ("nonsquare_norms", not any(field.is_square(-n)[0] for n in norms)),
         (
             "linear_idempotent_orthogonal",
-            all(
-                a_list[i] * a_list[h] == (a_list[i] if i == h else zero)
-                for i in range(len(a_list))
-                for h in range(len(a_list))
-            ),
-        )
-    )
-    checks.append(
+            all(table[i][h] == (members[i] if i == h else zero) for i in lin for h in lin),
+        ),
         (
             "linear_quad_orthogonal",
-            all(
-                a * b == zero and b * a == zero
-                for a in a_list
-                for b in b_list
-            ),
-        )
-    )
-    checks.append(
+            all(table[i][j] == zero == table[j][i] for i in lin for j in quad),
+        ),
         (
             "quad_cross_orthogonal",
-            all(
-                b_list[j] * b_list[l] == zero
-                for j in range(len(b_list))
-                for l in range(len(b_list))
-                if j != l
-            ),
-        )
-    )
-    checks.append(
+            all(table[j][l] == zero for j in quad for l in quad if j != l),
+        ),
         (
             "cube_identity",
             all(
-                cov.vertical ** 3 == cov.vertical.scale(-cov.n)
-                for cov in dec.quadratic
+                sq * members[j] == members[j].scale(-n)
+                for sq, j, n in zip(squares, quad, norms)
             ),
-        )
-    )
-    checks.append(
+        ),
         (
             "projector_consistency",
             all(
-                cov.vertical ** 2 == cov.projector.scale(-cov.n)
-                for cov in dec.quadratic
+                sq == cov.projector.scale(-cov.n)
+                for sq, cov in zip(squares, dec.quadratic)
             ),
-        )
-    )
-    a0 = dec.kernel_projector
-    if any(cov.n == field.zero for cov in dec.quadratic):
-        checks.append(("kernel_complement", False))
-    else:
-        complement = ident
-        for a in a_list:
-            complement = complement - a
-        for cov in dec.quadratic:
-            complement = complement - (cov.vertical ** 2).scale(
-                -(field.one / cov.n)
-            )
-        checks.append(("kernel_complement", a0 == complement))
-    checks.append(
+        ),
+        ("kernel_complement", complement is not None and a0 == complement),
         (
             "kernel_idempotent_orthogonal",
-            a0 * a0 == a0
-            and all(a0 * a == zero and a * a0 == zero for a in a_list)
-            and all(a0 * b == zero and b * a0 == zero for b in b_list),
-        )
+            table[0][0] == a0
+            and all(table[0][i] == zero == table[i][0] for i in others),
+        ),
+        ("nonzero_covariants", all(not members[i].is_zero for i in others)),
     )
-    checks.append(
-        (
-            "nonzero_covariants",
-            all(not a.is_zero for a in a_list)
-            and all(not b.is_zero for b in b_list),
-        )
-    )
-    return VerificationReport(tuple(checks))
+    return VerificationReport(checks)
+
+
+def _distinct(items) -> bool:
+    return all(x != y for i, x in enumerate(items) for y in items[i + 1 :])
 
 
 def reconstruct(dec: FineFrobenius) -> Matrix:
-    """Rebuild M from the covariants after validating the record.
+    """Rebuild M = sum gamma_i A_i + sum (alpha_j P_j + B_j) from a record.
 
-    Uses the literal identity M = sum gamma_i A_i + sum (alpha_j / -n_j) B_j^2
-    + sum B_j (the middle term equals alpha_j P_j since B_j^2 = -n_j P_j).
+    The record is validated first (InvalidDecomposition lists the failing
+    clauses), and this takes no matrix product.
     """
     rep = verify_fine(dec)
     if not rep.passed:
         raise InvalidDecomposition(
             "decomposition record fails: " + ", ".join(rep.failing())
         )
-    field = dec.field
-    acc = Matrix.zeros(field, dec.dim)
-    for cov in dec.linear:
-        acc = acc + cov.matrix.scale(cov.eigenvalue)
-    for cov in dec.quadratic:
-        acc = acc + (cov.vertical ** 2).scale(cov.alpha / -cov.n) + cov.vertical
-    return acc
+    terms = [cov.matrix.scale(cov.eigenvalue) for cov in dec.linear]
+    terms += [cov.projector.scale(cov.alpha) + cov.vertical for cov in dec.quadratic]
+    return sum(terms, Matrix.zeros(dec.field, dec.dim))
 
 
 def normalize(dec: FineFrobenius) -> NormalizedFineFrobenius:

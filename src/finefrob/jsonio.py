@@ -278,7 +278,7 @@ def fine_from_json(obj) -> FineFrobenius:
             raise SchemaMismatch("linear covariant needs gamma and A")
         linear.append(
             LinearCovariant(
-                scalar_from_json(field, item["gamma"]),
+                field.parse(_expect_str(item["gamma"], "gamma")),
                 matrix_from_json(item["A"]),
             )
         )
@@ -290,8 +290,8 @@ def fine_from_json(obj) -> FineFrobenius:
             raise SchemaMismatch("quadratic covariant needs alpha, n, B, P")
         quadratic.append(
             QuadCovariant(
-                scalar_from_json(field, item["alpha"]),
-                scalar_from_json(field, item["n"]),
+                field.parse(_expect_str(item["alpha"], "alpha")),
+                field.parse(_expect_str(item["n"], "n")),
                 matrix_from_json(item["B"]),
                 matrix_from_json(item["P"]),
             )

@@ -191,13 +191,13 @@ class Matrix:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        result = Matrix.identity(self.field, self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return Matrix.identity(self.field, self.n)
+        result = self
+        for bit in bin(k)[3:]:  # left to right, after the leading 1
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def apply(self, vec):

@@ -211,13 +211,13 @@ class Polynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        result = Polynomial.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return Polynomial.one(self.field)
+        result = self
+        for bit in bin(k)[3:]:  # left to right, after the leading 1
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def derivative(self) -> "Polynomial":

@@ -213,7 +213,12 @@ class RationalField:
             raise SchemaMismatch(f"bad rational literal {s!r}") from exc
 
     def to_str(self, x) -> str:
-        return str(self.coerce(x))
+        x = self.coerce(x)
+        try:
+            return str(x)
+        except ValueError as exc:  # past Python's int-to-str digit limit
+            bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+            raise CapExceeded(f"a {bits}-bit rational is too long to print") from exc
 
     def sort_key(self, x):
         return self.coerce(x)

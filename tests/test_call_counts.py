@@ -6,7 +6,8 @@ wrappers, and each CLI command is run once on a golden input.  A
 decomposition computes its matrix's spectral data once; the Newton route over
 Q factors nothing; ``check`` recomputes on its own and keeps its counts.
 The CRT projectors of a matrix share one table of its powers, counted by
-wrapping ``Matrix.__mul__``.  Arithmetic in a quadratic extension keeps the
+wrapping ``Matrix.__mul__``, which also counts the products each ``check``
+takes and those of ``M**k``; ``verify_fine`` is counted like the two above.  Arithmetic in a quadratic extension keeps the
 canonical radicand of its operands: only ``sqrt`` and ``quad_element`` reduce
 one, counted by wrapping ``squarefree_decompose``.
 """
@@ -18,10 +19,19 @@ from pathlib import Path
 
 import pytest
 
+import finefrob.frobenius
 import finefrob.matrix
 import finefrob.poly
 import finefrob.scalar
-from finefrob import QQ, Matrix, PrimeField, crt_projectors, quad_element, spectrum
+from finefrob import (
+    QQ,
+    Matrix,
+    Polynomial,
+    PrimeField,
+    crt_projectors,
+    quad_element,
+    spectrum,
+)
 from finefrob.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -43,6 +53,9 @@ def counts(monkeypatch):
             "minpoly", finefrob.matrix.minimal_polynomial
         ),
         id(finefrob.poly.factor): counting("factor", finefrob.poly.factor),
+        id(finefrob.frobenius.verify_fine): counting(
+            "verify_fine", finefrob.frobenius.verify_fine
+        ),
     }
     for name, module in list(sys.modules.items()):
         if name == "finefrob" or name.startswith("finefrob."):
@@ -106,6 +119,46 @@ def test_check_counts(result, source, minpoly, factor, counts, capsys, tmp_path)
     assert (counts["minpoly"], counts["factor"]) == (minpoly, factor)
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """Counter of Matrix * Matrix products, and of Polynomial * Polynomial."""
+    tally = collections.Counter()
+    for cls in (Matrix, Polynomial):
+        original = cls.__mul__
+
+        def counting(self, other, cls=cls, original=original):
+            if isinstance(other, cls):
+                tally[cls.__name__] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
+    return tally
+
+
+@pytest.mark.parametrize(
+    "result, source, matrix_products, verify_fine",
+    [
+        # (k + q + 1)^2 + q: every product of two of A0, A_i, B_j once, and
+        # B_j^3 from the square; 39 products and 2 verify_fine calls before
+        ("fine-q_semisimple", "q_semisimple", 10, 1),
+        ("fine-f7_semisimple", "f7_semisimple", 10, 1),
+        ("fine-q_worked", "q_worked", 5, 1),
+        ("normalize-q_semisimple", "q_semisimple", 2, 0),
+        ("jc-q_jordan", "q_jordan", 5, 0),
+        ("cjc-q_jordan", "q_jordan", 9, 0),
+    ],
+)
+def test_check_products(
+    result, source, matrix_products, verify_fine, counts, products, capsys, tmp_path
+):
+    path = tmp_path / "result.json"
+    expected = (GOLDEN / "expected" / f"{result}.txt").read_text()
+    path.write_text(expected.split("\n", 1)[1])
+    assert main(["check", _input(source), str(path)]) == 0
+    assert '"passed":true' in capsys.readouterr().out
+    assert (products["Matrix"], counts["verify_fine"]) == (matrix_products, verify_fine)
+
+
 # the blocks 1, 2, a Jordan block of 3 and the companion of X^2 + 1 over F_7,
 # conjugated: minimal polynomial of degree 6 with four irreducible factors
 F7_DENSE = [
@@ -156,3 +209,19 @@ def test_quadratic_arithmetic_reduces_no_radicand(monkeypatch):
     root = QQ.sqrt(Fraction(8, 3))
     assert calls["squarefree"] == 1
     assert root == quad_element(QQ, 0, Fraction(2, 3), 6)
+
+
+@pytest.mark.parametrize("k", range(14))
+def test_powers_take_no_wasted_product(k, products):
+    """floor(log2 k) + popcount(k) - 1 products for k >= 1, none for k = 0."""
+    field = PrimeField(7)
+    m = Matrix(field, F7_DENSE)
+    f = Polynomial(field, [field.from_int(c) for c in (3, 0, 5, 1)])
+    power = m**k
+    poly_power = f**k
+    wanted = k.bit_length() + bin(k).count("1") - 2 if k else 0
+    assert (products["Matrix"], products["Polynomial"]) == (wanted, wanted)
+    expected, poly_expected = Matrix.identity(field, m.n), Polynomial.one(field)
+    for _ in range(k):
+        expected, poly_expected = expected * m, poly_expected * f
+    assert (power, poly_power) == (expected, poly_expected)

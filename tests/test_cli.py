@@ -311,6 +311,57 @@ def test_check_padic_apply_terms_cap_is_the_cutoff_at_the_precision_cap(
             main(["check", path, rpath])
 
 
+def test_check_padic_apply_forged_bound_fails_without_the_doubled_run(
+    tmp_path, capsys, monkeypatch
+):
+    # the truncation of sin on diag(9, 27) after 0 terms certifies far less
+    # than 40000; the doubled run would search a cutoff near 53,000 terms
+    path = write_doc(tmp_path, "m.json", mat_doc([["9", "0"], ["0", "27"]]))
+    code, doc = run_json(
+        capsys, ["apply", path, "--fn", "sin", "--abs", "padic:3", "--prec", "12"]
+    )
+    assert code == 0
+    doc["result"]["terms"] = 0
+    doc["result"]["valuation_bound"] = 40000
+    rpath = write_doc(tmp_path, "r.json", doc)
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(finefrob.cli, "apply_series", reached)
+    code, verdict = run_json(capsys, ["check", path, rpath])
+    assert code == 0
+    assert verdict["result"]["passed"] is False
+    assert verdict["report"] == {"doubled_cutoff_within_bound": False}
+
+
+def _golden_fine_document():
+    expected = (GOLDEN / "expected" / "fine-q_semisimple.txt").read_text()
+    return json.loads(expected.split("\n", 1)[1])
+
+
+def test_check_fine_with_quadratic_scalar_exits_1(tmp_path, capsys):
+    doc = _golden_fine_document()
+    doc["result"]["quadratic"][0]["n"] = {"a": "1", "b": "1", "d": "2"}
+    rpath = write_doc(tmp_path, "r.json", doc)
+    code, verdict = run_json(
+        capsys, ["check", str(GOLDEN / "inputs" / "q_semisimple.json"), rpath]
+    )
+    assert code == 1
+    assert verdict["error"]["code"] == "SchemaMismatch"
+
+
+def test_check_fine_with_covariant_of_other_size_exits_1(tmp_path, capsys):
+    doc = _golden_fine_document()
+    doc["result"]["linear"][0]["A"] = mat_doc([["1"]])
+    rpath = write_doc(tmp_path, "r.json", doc)
+    code, verdict = run_json(
+        capsys, ["check", str(GOLDEN / "inputs" / "q_semisimple.json"), rpath]
+    )
+    assert code == 1
+    assert verdict["error"]["code"] == "SchemaMismatch"
+
+
 def test_check_rejects_result_without_command(tmp_path, capsys):
     path = write_doc(tmp_path, "m.json", mat_doc(WORKED))
     rpath = write_doc(tmp_path, "r.json", {"result": {}})
@@ -344,6 +395,17 @@ def test_apply_outside_domain_exits_2(tmp_path, capsys):
 def test_apply_caps_exit_2(tmp_path, capsys, flag, value):
     path = write_doc(tmp_path, "m.json", mat_doc(WORKED))
     code, doc = run_json(capsys, ["apply", path, "--fn", "exp", "--abs", "arch", flag, value])
+    assert code == 2
+    assert doc["error"]["code"] == "CapExceeded"
+
+
+def test_apply_past_the_print_digit_limit_exits_2(tmp_path, capsys):
+    # the partial sum of exp(9) over 1800 terms has a denominator of about
+    # 5000 decimal digits, past Python's int-to-str limit of 4300
+    path = write_doc(tmp_path, "m.json", mat_doc([["9"]]))
+    code, doc = run_json(
+        capsys, ["apply", path, "--fn", "exp", "--abs", "padic:3", "--terms", "1800"]
+    )
     assert code == 2
     assert doc["error"]["code"] == "CapExceeded"
 
