@@ -207,12 +207,19 @@ def verify_fine(dec: FineFrobenius) -> VerificationReport:
             complement = complement + sq.scale(field.one / n)
     others = range(1, len(members))
     checks = (
-        ("eigenvalues_nonzero_distinct", field.zero not in gammas and _distinct(gammas)),
+        (
+            "eigenvalues_nonzero_distinct",
+            field.zero not in gammas and _distinct(gammas),
+        ),
         ("conjugate_pairs_distinct", _distinct(pairs)),
         ("nonsquare_norms", not any(field.is_square(-n)[0] for n in norms)),
         (
             "linear_idempotent_orthogonal",
-            all(table[i][h] == (members[i] if i == h else zero) for i in lin for h in lin),
+            all(
+                table[i][h] == (members[i] if i == h else zero)
+                for i in lin
+                for h in lin
+            ),
         ),
         (
             "linear_quad_orthogonal",

@@ -7,9 +7,10 @@ decomposition computes its matrix's spectral data once; the Newton route over
 Q factors nothing; ``check`` recomputes on its own and keeps its counts.
 The CRT projectors of a matrix share one table of its powers, counted by
 wrapping ``Matrix.__mul__``, which also counts the products each ``check``
-takes and those of ``M**k``; ``verify_fine`` is counted like the two above.  Arithmetic in a quadratic extension keeps the
-canonical radicand of its operands: only ``sqrt`` and ``quad_element`` reduce
-one, counted by wrapping ``squarefree_decompose``.
+takes and those of ``M**k``; ``check fine`` calls ``verify_fine`` once.
+Arithmetic in a quadratic extension keeps the canonical radicand of its
+operands: only ``sqrt`` and ``quad_element`` reduce one, counted by wrapping
+``squarefree_decompose``.
 """
 
 import collections
@@ -139,7 +140,7 @@ def products(monkeypatch):
     "result, source, matrix_products, verify_fine",
     [
         # (k + q + 1)^2 + q: every product of two of A0, A_i, B_j once, and
-        # B_j^3 from the square; 39 products and 2 verify_fine calls before
+        # B_j^3 from the square
         ("fine-q_semisimple", "q_semisimple", 10, 1),
         ("fine-f7_semisimple", "f7_semisimple", 10, 1),
         ("fine-q_worked", "q_worked", 5, 1),

@@ -23,7 +23,6 @@ from finefrob import (
     reconstruct_normalized,
     verify_fine,
 )
-from finefrob.jsonio import matrix_from_json
 from finefrob.errors import (
     NegativeNormComponent,
     NotSemisimple,
@@ -31,6 +30,7 @@ from finefrob.errors import (
     UnorderedGroundField,
     ZeroMatrix,
 )
+from finefrob.jsonio import matrix_from_json
 
 
 def qmat(rows):
@@ -218,16 +218,29 @@ def _single_corruptions(dec):
         yield replace(dec, quadratic=quad[:h] + quad[h + 1 :])
         yield replace(dec, quadratic=quad + (cov,))
     for kernel in (Matrix.zeros(field, dec.dim), Matrix.identity(field, dec.dim)):
-        yield replace(dec, kernel_projector=kernel)
+        if kernel != dec.kernel_projector:
+            yield replace(dec, kernel_projector=kernel)
 
 
-@pytest.mark.parametrize("name", ["q_semisimple", "f7_semisimple"])
+# a rotation and the companion of X^2 - 2X + 5 on the diagonal: two quadratic
+# covariants in blocks of their own, so a bumped entry can make B_1 B_2 zero
+# and B_2 B_1 not
+TWO_QUADRATIC = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 5], [0, 0, -1, 0]]
+
+
+@pytest.mark.parametrize("name", ["q_semisimple", "f7_semisimple", "two_quadratic"])
 def test_verify_fine_matches_pairwise_reference(name):
-    path = Path(__file__).resolve().parent / "golden" / "inputs" / f"{name}.json"
-    dec = fine_frobenius(matrix_from_json(json.loads(path.read_text())))
-    assert (len(dec.linear), len(dec.quadratic)) == (1, 1)
+    if name == "two_quadratic":
+        m = qmat(TWO_QUADRATIC)
+    else:
+        path = Path(__file__).resolve().parent / "golden" / "inputs" / f"{name}.json"
+        m = matrix_from_json(json.loads(path.read_text()))
+    dec = fine_frobenius(m)
+    k, q = len(dec.linear), len(dec.quadratic)
+    assert (k, q) == ((0, 2) if name == "two_quadratic" else (1, 1))
     records = list(_single_corruptions(dec))
-    assert len(records) == 4 * dec.dim**2 + 13
+    assert len(records) > (1 + k + 2 * q) * dec.dim**2
+    assert all(bad != dec for bad in records[1:])
     failing = 0
     for bad in records:
         expected = oracles.fine_clauses(
@@ -242,9 +255,9 @@ def test_verify_fine_matches_pairwise_reference(name):
         report = verify_fine(bad)
         assert list(report.checks) == expected
         failing += not report.passed
-    # only the record itself and gamma + 1, alpha + 1 pass: no clause ties
-    # the eigenvalue data to the matrices (check's reconstructs_input does)
-    assert failing == len(records) - 3
+    # only the record itself and each gamma + 1, alpha + 1 pass: no clause
+    # ties the eigenvalue data to the matrices (check's reconstructs_input does)
+    assert failing == len(records) - 1 - k - q
 
 
 # ---------------------------------------------------------------------------
