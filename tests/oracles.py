@@ -276,6 +276,26 @@ def matrix_series_sum(field, coeff_fn, a, terms, powers=None):
     return acc
 
 
+def named_tail_bound(terms, r):
+    """The stated bound on sum_{m>terms} r^m / m!, one Fraction term at a time.
+
+    The terms r^m / m! are summed exactly for terms < m <= s, where s is the
+    least index >= terms with s + 2 > 2r; from m = s + 1 on each term is at
+    most r / (s + 2) < 1/2 times the one before, so the rest is at most
+    r^(s+1) / (s+1)! times (s + 2) / (s + 2 - r).
+    """
+    r = Fraction(r)
+    if r <= 0:
+        return Fraction(0)
+    s = terms
+    while s + 2 <= 2 * r:
+        s += 1
+    exact = sum(
+        (r**m / math.factorial(m) for m in range(terms + 1, s + 1)), start=Fraction(0)
+    )
+    return exact + r ** (s + 1) / math.factorial(s + 1) * (s + 2) / (s + 2 - r)
+
+
 # ---------------------------------------------------------------------------
 # fine decomposition clauses, pair by pair
 # ---------------------------------------------------------------------------

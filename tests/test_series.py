@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 import corpus
 import oracles
+from finefrob import series
 from finefrob import (
     AbsValue,
     ArchSeriesMatrix,
@@ -436,6 +438,97 @@ def test_image_decomposition_padic():
     assert v.values.is_zero  # 3I has no vertical part
     total = apply_series(m, SeriesSpec.exp(), AbsValue.padic(3), precision=8)
     assert h.values + v.values == total.values
+
+
+# ---------------------------------------------------------------------------
+# exact partial sums and tails against the oracles
+# ---------------------------------------------------------------------------
+
+RATIONALS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+ORACLE_COEFFS = {
+    "EXP": oracles.exp_coeff,
+    "SIN": oracles.sin_coeff,
+    "COS": oracles.cos_coeff,
+    "SINH": oracles.sinh_coeff,
+    "COSH": oracles.cosh_coeff,
+}
+
+
+@st.composite
+def specs_with_oracle(draw):
+    """A named or CUSTOM spec, with the oracle's coefficient function for it."""
+    name = draw(st.sampled_from(sorted(ORACLE_COEFFS) + ["CUSTOM"]))
+    if name != "CUSTOM":
+        return SeriesSpec.named(name), ORACLE_COEFFS[name]
+    coeffs = tuple(draw(st.lists(RATIONALS, min_size=1, max_size=12)))
+    return SeriesSpec.custom(coeffs), lambda m: coeffs[m] if m < len(coeffs) else 0
+
+
+def rational_matrices(max_n=3):
+    return st.integers(1, max_n).flatmap(
+        lambda k: st.lists(
+            st.lists(RATIONALS, min_size=k, max_size=k), min_size=k, max_size=k
+        )
+    )
+
+
+@given(specs_with_oracle(), RATIONALS, st.integers(0, 80))
+def test_scalar_partial_matches_oracle(spec_coeff, x, terms):
+    spec, coeff = spec_coeff
+    assert series._scalar_partial(spec, x, terms) == oracles.scalar_series_sum(
+        coeff, x, terms
+    )
+
+
+@given(specs_with_oracle(), RATIONALS, RATIONALS, st.integers(0, 80))
+def test_even_odd_partial_matches_oracle(spec_coeff, alpha, n, terms):
+    spec, coeff = spec_coeff
+    assert series._even_odd_partial(spec, alpha, n, terms) == oracles.even_odd_sum(
+        coeff, alpha, n, terms
+    )
+
+
+@given(specs_with_oracle(), rational_matrices(), st.integers(0, 80))
+def test_taylor_partial_exact_matches_oracle(spec_coeff, rows, terms):
+    spec, coeff = spec_coeff
+    a = tuple(tuple(row) for row in rows)
+    expected = oracles.matrix_series_sum(QQ, coeff, a, terms)
+    assert taylor_partial_exact(Matrix(QQ, rows), spec, terms).rows == expected
+
+
+@given(st.integers(0, 80), st.fractions(0, 1, max_denominator=50))
+def test_named_tail_bound_below_one(terms, r):
+    assert series._named_tail_bound(terms, r) == oracles.named_tail_bound(terms, r)
+
+
+@given(st.integers(0, 80), st.fractions(-3, 3, max_denominator=9))
+def test_named_tail_bound_near_twice_terms(terms, offset):
+    r = 2 * terms + offset
+    assert series._named_tail_bound(terms, r) == oracles.named_tail_bound(terms, r)
+
+
+@given(st.integers(0, 10), st.fractions(20, 300, max_denominator=9))
+def test_named_tail_bound_far_above_terms(terms, r):
+    assert series._named_tail_bound(terms, r) == oracles.named_tail_bound(terms, r)
+
+
+def reference_cutoff(radii, precision):
+    """The least schedule point whose every exact tail is below the target."""
+    target = Fraction(1, 2 ** (precision + 8))
+    terms = 1
+    while not all(oracles.named_tail_bound(terms, r) <= target for r in radii):
+        terms += 1 + terms // 4
+    return terms
+
+
+@given(
+    st.sampled_from(sorted(ORACLE_COEFFS)),
+    st.lists(st.fractions(0, 40, max_denominator=9), min_size=1, max_size=3),
+    st.sampled_from((1, 16, 53, 128, 300)),
+)
+def test_auto_cutoff_matches_reference_scan(name, radii, precision):
+    found = series._auto_terms_arch(SeriesSpec.named(name), radii, precision)
+    assert found == reference_cutoff(radii, precision)
 
 
 # ---------------------------------------------------------------------------
