@@ -5,8 +5,9 @@ Each reads JSON input files, computes with the library modules, and prints a
 single canonical JSON document {"command", "input_hash", "result"(, "report")}
 to standard output.  Exit codes: 0 success, 1 malformed input, 2 precondition
 violation; failures print {"error": {"code", "message"}} where ``code`` is the
-library error class name.  Identical inputs and seed produce byte-identical
-output.
+library error class name; ``check`` exits 0 whenever it reaches a verdict,
+``"passed": false`` included.  Identical inputs and seed produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -361,28 +362,37 @@ def _check_normalize(input_doc, result, seed) -> dict:
     a0 = jsonio.matrix_from_json(result["A0"])
     _same_shape(m, a0)
     acc = Matrix.zeros(field, m.n)
+    parts = a0  # A0 + sum A_i + sum P_j
     cube_ok = True
     imaginary_ok = True
+    projector_ok = True
     for item in result["linear"]:
         _need(item, "gamma", "A", what="linear covariant")
         gamma = jsonio.scalar_from_json(field, item["gamma"])
         a_mat = jsonio.matrix_from_json(item["A"])
         _same_shape(m, a_mat)
         acc = acc + a_mat.scale(gamma)
+        parts = parts + a_mat
     for item in result["quadratic"]:
-        _need(item, "alpha", "n", "imaginary", "B_unit", what="quadratic covariant")
+        _need(item, "alpha", "n", "imaginary", "B_unit", "P", what="quadratic covariant")
         alpha = jsonio.scalar_from_json(field, item["alpha"])
         n_val = jsonio.scalar_from_json(field, item["n"])
         imaginary = jsonio.scalar_from_json(field, item["imaginary"])
         b_unit = jsonio.matrix_from_json(item["B_unit"])
+        p_mat = jsonio.matrix_from_json(item["P"])
         _same_shape(m, b_unit)
+        _same_shape(m, p_mat)
         square = b_unit * b_unit
         cube_ok = cube_ok and square * b_unit == -b_unit
         imaginary_ok = imaginary_ok and imaginary * imaginary == n_val
+        projector_ok = projector_ok and p_mat == -square
         acc = acc + square.scale(-alpha) + b_unit.scale(imaginary)
+        parts = parts + p_mat
     return {
         "cube_identity": cube_ok,
         "imaginary_squares_to_n": imaginary_ok,
+        "projector_consistency": projector_ok,
+        "kernel_complement": parts == Matrix.identity(field, m.n),
         "reconstructs_input": acc == m,
     }
 

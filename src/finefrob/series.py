@@ -16,6 +16,11 @@ tail bounds.  Archimedean results are embedded into arbitrary-precision
 binary floats (with per-entry error bounds); p-adic results stay exact
 rational with a certified valuation bound on the truncation error.
 
+The exact sums run on ints, each value on one accumulator over a common
+denominator, with one Fraction per value at the end (Haible & Papanikolaou,
+ANTS 1998, without binary splitting).  The archimedean cutoff search skips,
+unsummed, each cutoff whose first tail term alone is above the target.
+
 Membership in the convergence domain (the strict eigenvalue-data condition
 |alpha| + |beta| < R archimedean, max(|alpha|, |beta|) < R non-archimedean)
 is always decided by exact rational inequalities, never by floats.
@@ -68,6 +73,14 @@ __all__ = [
 ]
 
 NAMED_SERIES = ("EXP", "SIN", "COS", "SINH", "COSH")
+# a_m of a named series is _SIGNS[name][m % 4] / m!
+_SIGNS = {
+    "EXP": (1, 1, 1, 1),
+    "SIN": (0, 1, 0, -1),
+    "COS": (1, 0, -1, 0),
+    "SINH": (0, 1, 0, 1),
+    "COSH": (1, 0, 1, 0),
+}
 
 _TERMS_CAP = 100_000
 
@@ -140,24 +153,7 @@ class SeriesSpec:
             if 0 <= m < len(self.custom_coeffs):
                 return self.custom_coeffs[m]
             return Fraction(0)
-        if self.name == "EXP":
-            return Fraction(1, math.factorial(m))
-        if self.name == "SIN":
-            if m % 2 == 0:
-                return Fraction(0)
-            return Fraction((-1) ** ((m - 1) // 2), math.factorial(m))
-        if self.name == "COS":
-            if m % 2 == 1:
-                return Fraction(0)
-            return Fraction((-1) ** (m // 2), math.factorial(m))
-        if self.name == "SINH":
-            if m % 2 == 0:
-                return Fraction(0)
-            return Fraction(1, math.factorial(m))
-        # COSH
-        if m % 2 == 1:
-            return Fraction(0)
-        return Fraction(1, math.factorial(m))
+        return Fraction(_SIGNS[self.name][m % 4], math.factorial(m))
 
     @property
     def max_index(self) -> int | None:
@@ -355,16 +351,27 @@ def domain_data(
 # scalar partial sums with certified tails
 # ---------------------------------------------------------------------------
 
-def _scalar_partial(spec: SeriesSpec, x: Fraction, terms: int) -> Fraction:
-    """sum_{m<=terms} a_m x^m exactly."""
-    acc = Fraction(0)
-    power = Fraction(1)
+def _walk(spec: SeriesSpec, terms: int, v: int):
+    """Int pairs (s_m, c_m), m <= terms, with a_m x^m = c_m (vx)^m / (s_0 ... s_m).
+
+    a_m = c_m / (r_0 r_1 ... r_m), s_0 = r_0 and s_m = r_m v.  Named series:
+    r_0 = 1, r_m = m, c_m in {0, 1, -1}.  CUSTOM: r_0 is the common
+    denominator of the coefficients and r_m = 1 after it.
+    """
+    if spec.name == "CUSTOM":
+        den = math.lcm(*(c.denominator for c in spec.custom_coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in spec.custom_coeffs]
+        for m in range(terms + 1):
+            yield (v if m else den), (nums[m] if m < len(nums) else 0)
+        return
+    signs = _SIGNS[spec.name]
     for m in range(terms + 1):
-        a = spec.coefficient(m)
-        if a:
-            acc += a * power
-        power *= x
-    return acc
+        yield (m * v if m else 1), signs[m % 4]
+
+
+def _scalar_partial(spec: SeriesSpec, x: Fraction, terms: int) -> Fraction:
+    """sum_{m<=terms} a_m x^m exactly: the even sum at n = 0."""
+    return _even_odd_partial(spec, x, Fraction(0), terms)[0]
 
 
 def _even_odd_partial(
@@ -372,48 +379,47 @@ def _even_odd_partial(
 ) -> tuple[Fraction, Fraction]:
     """Exact even/odd sums: lam^m = e_m + o_m * beta with beta^2 = -n.
 
-    Recurrence: e_{m+1} = alpha*e_m - n*o_m, o_{m+1} = e_m + alpha*o_m.
+    Recurrence: e_{m+1} = alpha*e_m - n*o_m, o_{m+1} = e_m + alpha*o_m, run on
+    the integers D^m e_m and D^m o_m, D the lcm of the denominators of alpha
+    and n.  Each sum is one integer accumulator over the walk's denominator,
+    made a Fraction once at the end.
     """
-    even = Fraction(0)
-    odd = Fraction(0)
-    e_m, o_m = Fraction(1), Fraction(0)
-    for m in range(terms + 1):
-        a = spec.coefficient(m)
-        if a:
-            even += a * e_m
-            odd += a * o_m
-        e_m, o_m = alpha * e_m - n * o_m, e_m + alpha * o_m
-    return even, odd
+    d = math.lcm(alpha.denominator, n.denominator)
+    a, b = (x.numerator * (d // x.denominator) for x in (alpha, n))
+    e, o, even, odd, den = 1, 0, 0, 0, 1
+    for step, c in _walk(spec, terms, d):
+        even, odd, den = even * step + c * e, odd * step + c * o, den * step
+        e, o = a * e - b * o, d * e + a * o
+    return Fraction(even, den), Fraction(odd, den)
 
 
 def _named_tail_bound(terms: int, r: Fraction) -> Fraction:
     """Bound on sum_{m>terms} r^m / m! (valid for all five named series).
 
-    Exact summation is carried far enough that the factorial ratio drops
-    below 1/2, then a geometric comparison closes the tail.
+    The terms are summed exactly through m = split + 1, split being the least
+    index >= terms with split + 2 > 2r; past it each term is under half the
+    one before, so the term at split + 1 times r / (split + 2 - r) closes the
+    tail.  With r = p/q the sum is one integer accumulator over q^m m!, the
+    update of the EXP walk, made a Fraction once at the end.
     """
     if r <= 0:
         return Fraction(0)
-    split = terms
-    while Fraction(split + 2) <= 2 * r:
-        split += 1
-    acc = Fraction(0)
-    term = r ** (terms + 1) / math.factorial(terms + 1)
-    for m in range(terms + 1, split + 1):
-        acc += term
-        term = term * r / (m + 1)
-    t2 = Fraction(split + 2)
-    return acc + term * t2 / (t2 - r)
+    p, q = r.numerator, r.denominator
+    split = max(terms, 2 * p // q - 1)
+    acc, den, power = 0, math.factorial(terms) * q**terms, p**terms
+    for m in range(terms + 1, split + 2):
+        power *= p
+        acc, den = acc * m * q + power, den * m * q
+    gap = (split + 2) * q - p
+    return Fraction(acc * gap + power * p, den * gap)
 
 
 def _tail_bound(spec: SeriesSpec, terms: int, r: Fraction) -> Fraction:
     """Bound on sum_{m>terms} |a_m| r^m."""
     if spec.name != "CUSTOM":
         return _named_tail_bound(terms, r)
-    acc = Fraction(0)
-    for m in range(terms + 1, len(spec.custom_coeffs)):
-        acc += abs(spec.custom_coeffs[m]) * r**m
-    return acc
+    coeffs = spec.custom_coeffs
+    return sum((abs(coeffs[m]) * r**m for m in range(terms + 1, len(coeffs))), Fraction(0))
 
 
 def _radius(alpha: Fraction, n: Fraction) -> Fraction:
@@ -431,13 +437,22 @@ def _quad_tails(
 
 
 def _auto_terms_arch(spec: SeriesSpec, radii, precision: int) -> int:
-    """Least cutoff on the schedule whose tails are below 2^-(precision + 8)."""
+    """Least cutoff on the schedule whose tails are below 2^-(precision + 8).
+
+    A point t is skipped unsummed when the first tail term at the largest
+    radius r = p/q is above the target, p^(t+1) 2^(precision+8) > q^(t+1) (t+1)!:
+    every tail bound is at least its first term, so the least passing point
+    is the same.
+    """
     if spec.max_index is not None:
         return spec.max_index
     target = Fraction(1, 2 ** (precision + 8))
+    top = max(radii, default=0)
     terms = 1
     while terms <= _TERMS_CAP:
-        if all(_tail_bound(spec, terms, r) <= target for r in radii):
+        k = terms + 1
+        hopeless = top.numerator**k << (precision + 8) > top.denominator**k * math.factorial(k)
+        if not hopeless and all(_tail_bound(spec, terms, r) <= target for r in radii):
             return terms
         terms = terms + 1 + terms // 4
     raise NotConvergent("no cutoff reached the requested tail bound")
@@ -676,12 +691,7 @@ def _padic_quad_valuation(alpha: Fraction, n: Fraction, p: int):
 
 
 def _matrix_min_valuation(mat: Matrix, p: int):
-    vals = [
-        padic_valuation(Fraction(mat.entry(i, j)), p)
-        for i in range(mat.n)
-        for j in range(mat.n)
-    ]
-    return min(vals) if vals else math.inf
+    return min((padic_valuation(Fraction(e), p) for row in mat.rows for e in row), default=math.inf)
 
 
 def _padic_scalar_tail_valuation(
@@ -700,15 +710,12 @@ def _padic_scalar_tail_valuation(
         m0 = terms + 1
         weight = (m0 - 1) if shifted else m0
         return weight * v - (m0 - 1) * s
-    best = math.inf
-    for m in range(terms + 1, len(spec.custom_coeffs)):
-        a = spec.custom_coeffs[m]
-        if a == 0:
-            continue
-        weight = (m - 1) if shifted else m
-        cand = padic_valuation(a, p) + weight * v
-        best = min(best, cand)
-    return best
+    coeffs = spec.custom_coeffs
+    return min(
+        (padic_valuation(coeffs[m], p) + (m - 1 if shifted else m) * v
+         for m in range(terms + 1, len(coeffs)) if coeffs[m]),
+        default=math.inf,
+    )
 
 
 def _padic_cutoff(dec: FineFrobenius, spec: SeriesSpec, p: int, target, terms):
@@ -843,17 +850,24 @@ def complete_jc_of_image(
 # -- the Taylor oracle -------------------------------------------------------
 
 def taylor_partial_exact(m: Matrix, spec: SeriesSpec, terms: int) -> Matrix:
-    """sum_{k<=terms} a_k M^k by exact rational matrix powers."""
+    """sum_{k<=terms} a_k M^k by exact integer matrix powers.
+
+    The powers are those of N = vM, v the lcm of the entry denominators; each
+    entry is one integer accumulator over the walk's denominator, made a
+    Fraction once at the end.
+    """
     _require_rational_matrix(m)
-    acc = Matrix.zeros(m.field, m.n)
-    power = Matrix.identity(m.field, m.n)
-    for k in range(terms + 1):
-        a = spec.coefficient(k)
-        if a:
-            acc = acc + power.scale(a)
+    v = math.lcm(*(e.denominator for row in m.rows for e in row))
+    cols = list(zip(*([e.numerator * (v // e.denominator) for e in row] for row in m.rows)))
+    power = [[int(i == j) for j in range(m.n)] for i in range(m.n)]
+    acc = [[0] * m.n for _ in range(m.n)]
+    den = 1
+    for k, (step, c) in enumerate(_walk(spec, terms, v)):
+        acc = [[x * step + c * y for x, y in zip(ra, rp)] for ra, rp in zip(acc, power)]
+        den *= step
         if k < terms:
-            power = power * m
-    return acc
+            power = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in power]
+    return Matrix(m.field, [[Fraction(x, den) for x in row] for row in acc])
 
 
 def taylor_oracle(

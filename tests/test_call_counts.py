@@ -10,7 +10,9 @@ wrapping ``Matrix.__mul__``, which also counts the products each ``check``
 takes and those of ``M**k``; ``check fine`` calls ``verify_fine`` once.
 Arithmetic in a quadratic extension keeps the canonical radicand of its
 operands: only ``sqrt`` and ``quad_element`` reduce one, counted by wrapping
-``squarefree_decompose``.
+``squarefree_decompose``.  The archimedean cutoff search sums an exact tail
+only at a cutoff whose first tail term is below the target, counted by
+wrapping ``series._tail_bound``.
 """
 
 import collections
@@ -24,6 +26,7 @@ import finefrob.frobenius
 import finefrob.matrix
 import finefrob.poly
 import finefrob.scalar
+import finefrob.series
 from finefrob import (
     QQ,
     Matrix,
@@ -226,3 +229,21 @@ def test_powers_take_no_wasted_product(k, products):
     for _ in range(k):
         expected, poly_expected = expected * m, poly_expected * f
     assert (power, poly_power) == (expected, poly_expected)
+
+
+def test_cutoff_search_sums_no_hopeless_tail(monkeypatch, tmp_path, capsys):
+    """exp of a rotation by 1000 takes 3389 terms: one tail summed by the
+    search at the cutoff it returns, one for the error bounds."""
+    calls = collections.Counter()
+    original = finefrob.series._tail_bound
+
+    def counting(*args):
+        calls["tail"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(finefrob.series, "_tail_bound", counting)
+    path = tmp_path / "rotation.json"
+    path.write_text('{"field": "Q", "n": 2, "entries": [["0", "-1000"], ["1000", "0"]]}')
+    assert main(["apply", str(path), "--fn", "exp", "--abs", "arch"]) == 0
+    assert '"terms":3389' in capsys.readouterr().out
+    assert calls["tail"] == 2

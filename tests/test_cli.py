@@ -217,6 +217,28 @@ def test_check_detects_corruption(tmp_path, capsys):
     assert verdict["report"]["sum_reconstructs"] is False
 
 
+@pytest.mark.parametrize(
+    "where, failing",
+    [
+        (("A0",), ["kernel_complement"]),
+        (("quadratic", 0, "P"), ["kernel_complement", "projector_consistency"]),
+    ],
+)
+def test_check_normalize_reads_a0_and_p(tmp_path, capsys, where, failing):
+    doc = json.loads(
+        (GOLDEN / "expected" / "normalize-q_semisimple.txt").read_text().split("\n", 1)[1]
+    )
+    target = doc["result"]
+    for key in where:
+        target = target[key]
+    target["entries"][0][0] = "7"
+    result_path = write_doc(tmp_path, "res.json", doc)
+    source = str(GOLDEN / "inputs" / "q_semisimple.json")
+    code, verdict = run_json(capsys, ["check", source, result_path])
+    assert code == 0 and verdict["result"]["passed"] is False
+    assert sorted(k for k, v in verdict["report"].items() if v is False) == failing
+
+
 def test_check_minpoly_and_factor(tmp_path, capsys):
     mpath = write_doc(tmp_path, "m.json", mat_doc(WORKED))
     code, doc = run_json(capsys, ["minpoly", mpath])
@@ -386,6 +408,16 @@ def test_apply_outside_domain_exits_2(tmp_path, capsys):
     code, doc = run_json(capsys, ["apply", path, "--fn", "exp", "--abs", "padic:3"])
     assert code == 2
     assert doc["error"]["code"] == "NotInOmegaHat"
+
+
+def test_apply_past_the_terms_cap_exits_2(tmp_path, capsys):
+    # exp of a rotation by 10^5 needs some 270,000 terms: every cutoff on the
+    # schedule is passed over by its first tail term, without a tail sum
+    rotation = [["0", "-100000"], ["100000", "0"]]
+    path = write_doc(tmp_path, "m.json", mat_doc(rotation))
+    code, doc = run_json(capsys, ["apply", path, "--fn", "exp", "--abs", "arch"])
+    assert code == 2
+    assert doc["error"]["code"] == "NotConvergent"
 
 
 @pytest.mark.parametrize(
