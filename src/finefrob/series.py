@@ -370,8 +370,11 @@ def _walk(spec: SeriesSpec, terms: int, v: int):
 
 
 def _scalar_partial(spec: SeriesSpec, x: Fraction, terms: int) -> Fraction:
-    """sum_{m<=terms} a_m x^m exactly: the even sum at n = 0."""
-    return _even_odd_partial(spec, x, Fraction(0), terms)[0]
+    """sum_{m<=terms} a_m x^m exactly: the even sum at n = 0, without the odd one."""
+    acc, den, u, power = 0, 1, x.numerator, 1
+    for step, c in _walk(spec, terms, x.denominator):
+        acc, den, power = acc * step + c * power, den * step, power * u
+    return Fraction(acc, den)
 
 
 def _even_odd_partial(
