@@ -464,12 +464,9 @@ def specs_with_oracle(draw):
     return SeriesSpec.custom(coeffs), lambda m: coeffs[m] if m < len(coeffs) else 0
 
 
-def rational_matrices(max_n=3):
-    return st.integers(1, max_n).flatmap(
-        lambda k: st.lists(
-            st.lists(RATIONALS, min_size=k, max_size=k), min_size=k, max_size=k
-        )
-    )
+RATIONAL_MATRICES = st.integers(1, 3).flatmap(
+    lambda k: st.lists(st.lists(RATIONALS, min_size=k, max_size=k), min_size=k, max_size=k)
+)
 
 
 @given(specs_with_oracle(), RATIONALS, st.integers(0, 80))
@@ -488,7 +485,7 @@ def test_even_odd_partial_matches_oracle(spec_coeff, alpha, n, terms):
     )
 
 
-@given(specs_with_oracle(), rational_matrices(), st.integers(0, 80))
+@given(specs_with_oracle(), RATIONAL_MATRICES, st.integers(0, 80))
 def test_taylor_partial_exact_matches_oracle(spec_coeff, rows, terms):
     spec, coeff = spec_coeff
     a = tuple(tuple(row) for row in rows)
