@@ -21,6 +21,7 @@ from finefrob import (
     quad_element,
     reconstruct,
     reconstruct_normalized,
+    spectrum,
     verify_fine,
 )
 from finefrob.errors import (
@@ -102,6 +103,45 @@ def test_cube_identities():
             b, p = cov.vertical, cov.projector
             assert b * b == p.scale(-cov.n)
             assert b * b * b == b.scale(-cov.n)
+
+
+def _f7_semisimple(rng, n):
+    """A conjugated block diagonal over F_7 of distinct eigenvalues and
+    companions of X^2 - d, d a non-residue; semisimple with splitting bound 2."""
+    field = PrimeField(7)
+    rows = [[field.zero] * n for _ in range(n)]
+    gammas, nonresidues = rng.sample(range(7), 7), [3, 5, 6]
+    pos = 0
+    while pos < n:
+        if pos + 1 < n and nonresidues and rng.random() < 0.5:
+            rows[pos][pos + 1] = field.from_int(nonresidues.pop())
+            rows[pos + 1][pos] = field.one
+            pos += 2
+        else:
+            rows[pos][pos] = field.from_int(gammas.pop())
+            pos += 1
+    p, p_inv = corpus.random_invertible(rng, field, n, 0, 6)
+    return p * Matrix(field, rows) * p_inv
+
+
+@pytest.mark.parametrize("field_name", ["Q", "F7"])
+def test_kernel_projector_zero_without_zero_eigenvalue(field_name):
+    rng = random.Random(f"no-kernel:{field_name}")
+    seen = 0
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        if field_name == "Q":
+            m = corpus.random_semisimple_sb2(rng, n)
+        else:
+            m = _f7_semisimple(rng, n)
+        if any(h.degree == 1 and h.coeff(0) == m.field.zero
+               for h, _ in spectrum(m).factorization.factors):
+            continue
+        seen += 1
+        dec = fine_frobenius(m)
+        assert dec.kernel_projector == Matrix.zeros(m.field, n)
+        assert verify_fine(dec).passed
+    assert seen >= 5
 
 
 # ---------------------------------------------------------------------------
