@@ -108,11 +108,13 @@ class NormalizedFineFrobenius:
 
 
 def spectral_components(spectral: Spectrum) -> list[tuple]:
-    """Eigenvalue data of each irreducible factor, in factor order.
+    """Eigenvalue data (alpha, n) of each irreducible factor, in factor order.
 
-    ("linear", gamma) for X - gamma and ("quad", alpha, n) for a quadratic
-    with roots alpha +- sqrt(-n).  Raises NotSemisimple or SplittingBoundExceeded
-    unless the factorization is squarefree with degrees at most 2.
+    The roots of the factor are alpha +- sqrt(-n): (gamma, 0) for X - gamma
+    and ``quad_factor_data`` for a quadratic.  n is 0 exactly on the degree-1
+    factors, since an irreducible quadratic has -n a non-square.  Raises
+    NotSemisimple or SplittingBoundExceeded unless the factorization is
+    squarefree with degrees at most 2.
     """
     fact = spectral.factorization
     if not fact.is_squarefree:
@@ -122,7 +124,7 @@ def spectral_components(spectral: Spectrum) -> list[tuple]:
             f"an irreducible factor has degree {fact.max_degree} > 2"
         )
     return [
-        ("linear", -h.coeff(0)) if h.degree == 1 else ("quad", *quad_factor_data(h))
+        (-h.coeff(0), h.field.zero) if h.degree == 1 else quad_factor_data(h)
         for h, _ in fact.factors
     ]
 
@@ -142,29 +144,19 @@ def fine_frobenius(m: Matrix, seed: int = 0) -> FineFrobenius:
 def fine_from_spectrum(m: Matrix, spectral: Spectrum) -> FineFrobenius:
     """``fine_frobenius`` of a nonzero ground-field M from M's spectrum."""
     field = m.field
-    components = spectral_components(spectral)
-    projectors = crt_projectors(spectral.factorization, m)
     ident = Matrix.identity(field, m.n)
-    kernel = None
+    kernel = Matrix.zeros(field, m.n)
     linear = []
     quadratic = []
-    for comp, proj in zip(components, projectors):
-        if comp[0] == "linear":
-            gamma = comp[1]
-            if gamma == field.zero:
-                kernel = proj
-            else:
-                linear.append(LinearCovariant(gamma, proj))
-        else:
-            _, alpha, n = comp
+    projectors = crt_projectors(spectral.factorization, m)
+    for (alpha, n), proj in zip(spectral_components(spectral), projectors):
+        if n != field.zero:
             vertical = (m - ident.scale(alpha)) * proj
             quadratic.append(QuadCovariant(alpha, n, vertical, proj))
-    if kernel is None:
-        kernel = ident
-        for cov in linear:
-            kernel = kernel - cov.matrix
-        for cov in quadratic:
-            kernel = kernel - cov.projector
+        elif alpha != field.zero:
+            linear.append(LinearCovariant(alpha, proj))
+        else:
+            kernel = proj
     return FineFrobenius(
         dim=m.n,
         field=field,

@@ -16,10 +16,14 @@ tail bounds.  Archimedean results are embedded into arbitrary-precision
 binary floats (with per-entry error bounds); p-adic results stay exact
 rational with a certified valuation bound on the truncation error.
 
-The exact sums run on ints, each value on one accumulator over a common
-denominator, with one Fraction per value at the end (Haible & Papanikolaou,
-ANTS 1998, without binary splitting).  The archimedean cutoff search skips,
-unsummed, each cutoff whose first tail term alone is above the target.
+A ground eigenvalue gamma is the case alpha = gamma, n = 0, with no
+vertical part: every covariant is (alpha, n, projector, vertical or none),
+A0 being (0, 0) and each A_i (gamma_i, 0), and one even/odd partial-sum loop
+serves them all.  The exact sums run on ints, each value on one accumulator
+over a common denominator, with one Fraction per value at the end (Haible &
+Papanikolaou, ANTS 1998, without binary splitting).  The archimedean cutoff
+search skips, unsummed, each cutoff whose first tail term alone is above the
+target.
 
 Membership in the convergence domain (the strict eigenvalue-data condition
 |alpha| + |beta| < R archimedean, max(|alpha|, |beta|) < R non-archimedean)
@@ -225,29 +229,17 @@ def _require_valued(av: AbsValue):
 
 def _eigen_abs(components, av: AbsValue) -> list[EigenAbs]:
     out = []
-    for comp in components:
-        if comp[0] == "linear":
-            gamma = comp[1]
-            if av.kind == "arch":
-                a = abs(float(gamma))
-            else:
-                a = _padic_abs(gamma, av.p)
-            out.append(EigenAbs("linear", gamma, None, None, a, a, 0.0))
+    for alpha, n in components:
+        if av.kind == "arch":
+            absa = abs(float(alpha))
+            absb = math.sqrt(abs(float(n)))
+            absl = math.sqrt(float(alpha * alpha + n)) if n > 0 else absa + absb
         else:
-            _, alpha, n = comp
-            if av.kind == "arch":
-                absa = abs(float(alpha))
-                absb = math.sqrt(abs(float(n)))
-                if n > 0:
-                    absl = math.sqrt(float(alpha * alpha + n))
-                else:
-                    absl = absa + math.sqrt(float(-n))
-            else:
-                p = av.p
-                absa = _padic_abs(alpha, p)
-                absb = _padic_half_abs(n, p)
-                absl = _padic_half_abs(alpha * alpha + n, p)
-            out.append(EigenAbs("quadratic", None, alpha, n, absl, absa, absb))
+            absa = _padic_abs(alpha, av.p)
+            absb = _padic_half_abs(n, av.p)
+            absl = _padic_half_abs(alpha * alpha + n, av.p)
+        data = ("linear", alpha, None, None) if n == 0 else ("quadratic", None, alpha, n)
+        out.append(EigenAbs(*data, absl, absa, absb))
     return out
 
 
@@ -277,30 +269,22 @@ def _sqrt_bounds(f: Fraction) -> tuple[Fraction, Fraction]:
     return Fraction(r, f.denominator), Fraction(r + 1, f.denominator)
 
 
-def _arch_member(comp, radius) -> bool:
-    """Exact |alpha| + |beta| < R test for one component."""
+def _arch_member(alpha: Fraction, n: Fraction, radius) -> bool:
+    """Exact |alpha| + |beta| < R test for one eigenvalue, beta^2 = -n."""
     if radius == math.inf:
         return True
-    if comp[0] == "linear":
-        return abs(comp[1]) < radius
-    _, alpha, n = comp
     margin = radius - abs(alpha)
     return margin > 0 and abs(n) < margin * margin
 
 
-def _padic_member(comp, spec: SeriesSpec, p: int) -> bool:
-    """Exact max(|alpha|, |beta|) < R test for one component.
+def _padic_member(alpha: Fraction, n: Fraction, spec: SeriesSpec, p: int) -> bool:
+    """Exact max(|alpha|, |beta|) < R test for one eigenvalue, beta^2 = -n.
 
     Valuations live in (1/2)Z, so all comparisons are done on doubled
     valuations; for named series R = p^(-1/(p-1)) the condition becomes
     2v > 2/(p-1), and for declared rational R it becomes R^2 * p^(2v) > 1.
     """
-    if comp[0] == "linear":
-        v2_list = [_doubled_valuation(comp[1], p)]
-    else:
-        _, alpha, n = comp
-        v2_list = [_doubled_valuation(alpha, p), padic_valuation(n, p)]
-    v2 = min(v2_list)
+    v2 = min(_doubled_valuation(alpha, p), padic_valuation(n, p))
     if spec.name != "CUSTOM":
         if v2 == math.inf:
             return True
@@ -325,11 +309,11 @@ def _member(components, spec: SeriesSpec, av: AbsValue) -> bool:
     if av.kind == "trivial":
         # every nonzero value has trivial absolute value 1, so only the zero
         # eigenvalue sits strictly inside the radius-1 domain
-        return all(c[0] == "linear" and c[1] == 0 for c in components)
+        return all(alpha == n == 0 for alpha, n in components)
     if av.kind == "arch":
         radius = _arch_radius(spec)
-        return all(_arch_member(c, radius) for c in components)
-    return all(_padic_member(c, spec, av.p) for c in components)
+        return all(_arch_member(alpha, n, radius) for alpha, n in components)
+    return all(_padic_member(alpha, n, spec, av.p) for alpha, n in components)
 
 
 def in_omega_hat(m: Matrix, spec: SeriesSpec, av: AbsValue, seed: int = 0) -> bool:
@@ -367,14 +351,6 @@ def _walk(spec: SeriesSpec, terms: int, v: int):
     signs = _SIGNS[spec.name]
     for m in range(terms + 1):
         yield (m * v if m else 1), signs[m % 4]
-
-
-def _scalar_partial(spec: SeriesSpec, x: Fraction, terms: int) -> Fraction:
-    """sum_{m<=terms} a_m x^m exactly: the even sum at n = 0, without the odd one."""
-    acc, den, u, power = 0, 1, x.numerator, 1
-    for step, c in _walk(spec, terms, x.denominator):
-        acc, den, power = acc * step + c * power, den * step, power * u
-    return Fraction(acc, den)
 
 
 def _even_odd_partial(
@@ -430,10 +406,10 @@ def _radius(alpha: Fraction, n: Fraction) -> Fraction:
     return abs(alpha) + _sqrt_bounds(abs(n))[1]
 
 
-def _quad_tails(
+def _even_odd_tails(
     spec: SeriesSpec, terms: int, alpha: Fraction, n: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Tail bounds past ``terms`` on the even and on the odd sum of one component."""
+    """Tail bounds past ``terms`` on the even and on the odd sum of one eigenvalue."""
     tail = _tail_bound(spec, terms, _radius(alpha, n))
     beta_lb = _sqrt_bounds(abs(n))[0]
     return tail, (tail / beta_lb if beta_lb > 0 else tail)
@@ -487,16 +463,15 @@ def series_even_odd(
     precision: int = 128,
     terms: int | None = None,
 ) -> EvenOdd:
-    """Archimedean even/odd sums for one quadratic component, as BigFloats."""
+    """Archimedean even/odd sums for one eigenvalue alpha + beta, beta^2 = -n."""
     alpha = Fraction(alpha)
     n = Fraction(n)
-    comp = ("quad", alpha, n)
-    if not _arch_member(comp, _arch_radius(spec)):
+    if not _arch_member(alpha, n, _arch_radius(spec)):
         raise NotConvergent("eigenvalue data leaves the convergence domain")
     if terms is None:
         terms = _auto_terms_arch(spec, [_radius(alpha, n)], precision)
     even, odd = _even_odd_partial(spec, alpha, n, terms)
-    tail, odd_tail = _quad_tails(spec, terms, alpha, n)
+    tail, odd_tail = _even_odd_tails(spec, terms, alpha, n)
     with mpmath.workprec(precision):
         return EvenOdd(
             even=_to_mpf(even),
@@ -568,22 +543,30 @@ def _require_rational_matrix(m: Matrix):
         raise FieldMismatch("series application needs ground-field entries")
 
 
+def _ground_covariants(dec) -> list[tuple]:
+    """(gamma, 0, projector, None) for A0, when nonzero, and for each A_i."""
+    zero = Fraction(0)
+    kernel = [] if dec.kernel_projector.is_zero else [(zero, zero, dec.kernel_projector, None)]
+    return kernel + [(Fraction(cov.eigenvalue), zero, cov.matrix, None) for cov in dec.linear]
+
+
+def _covariants(dec: FineFrobenius) -> list[tuple]:
+    """(alpha, n, projector, vertical or None) of every covariant of ``dec``."""
+    return _ground_covariants(dec) + [
+        (Fraction(cov.alpha), Fraction(cov.n), cov.projector, cov.vertical)
+        for cov in dec.quadratic
+    ]
+
+
 def _partial_sums(dec: FineFrobenius, spec: SeriesSpec, terms: int):
     """Exact rational (horizontal, vertical) partial sums of f(M) up to ``terms``."""
     h_acc = Matrix.zeros(dec.field, dec.dim)
     v_acc = Matrix.zeros(dec.field, dec.dim)
-    if not dec.kernel_projector.is_zero:
-        h_acc = h_acc + dec.kernel_projector.scale(spec.coefficient(0))
-    for cov in dec.linear:
-        h_acc = h_acc + cov.matrix.scale(
-            _scalar_partial(spec, Fraction(cov.eigenvalue), terms)
-        )
-    for cov in dec.quadratic:
-        even, odd = _even_odd_partial(
-            spec, Fraction(cov.alpha), Fraction(cov.n), terms
-        )
-        h_acc = h_acc + cov.projector.scale(even)
-        v_acc = v_acc + cov.vertical.scale(odd)
+    for alpha, n, projector, vertical in _covariants(dec):
+        even, odd = _even_odd_partial(spec, alpha, n, terms)
+        h_acc = h_acc + projector.scale(even)
+        if vertical is not None:
+            v_acc = v_acc + vertical.scale(odd)
     return h_acc, v_acc
 
 
@@ -592,13 +575,11 @@ def _arch_tails(dec: FineFrobenius, spec: SeriesSpec, terms: int):
     archimedean truncation error entrywise for the respective part."""
     h_tails: list[tuple[Fraction, Matrix]] = []
     v_tails: list[tuple[Fraction, Matrix]] = []
-    for cov in dec.linear:
-        gamma = Fraction(cov.eigenvalue)
-        h_tails.append((_tail_bound(spec, terms, abs(gamma)), cov.matrix))
-    for cov in dec.quadratic:
-        tail, odd_tail = _quad_tails(spec, terms, Fraction(cov.alpha), Fraction(cov.n))
-        h_tails.append((tail, cov.projector))
-        v_tails.append((odd_tail, cov.vertical))
+    for alpha, n, projector, vertical in _covariants(dec):
+        tail, odd_tail = _even_odd_tails(spec, terms, alpha, n)
+        h_tails.append((tail, projector))
+        if vertical is not None:
+            v_tails.append((odd_tail, vertical))
     return h_tails, v_tails
 
 
@@ -642,10 +623,7 @@ def _image_parts(m: Matrix, spec: SeriesSpec, av: AbsValue, precision, terms, se
     dec = fine_from_spectrum(m, spectral)
     if av.kind == "arch":
         if terms is None:
-            radii = [
-                abs(c[1]) if c[0] == "linear" else _radius(c[1], c[2])
-                for c in components
-            ]
+            radii = [_radius(alpha, n) for alpha, n in components]
             terms = _auto_terms_arch(spec, radii, precision)
         h_tails, v_tails = _arch_tails(dec, spec, terms)
         bound = None
@@ -685,7 +663,7 @@ def apply_series(
 
 # -- p-adic backend ----------------------------------------------------------
 
-def _padic_quad_valuation(alpha: Fraction, n: Fraction, p: int):
+def _padic_eigen_valuation(alpha: Fraction, n: Fraction, p: int):
     """min(v(alpha), v(beta)) for beta^2 = -n (Fraction or inf)."""
     va = padic_valuation(alpha, p)
     vn = padic_valuation(n, p)
@@ -729,13 +707,11 @@ def _padic_cutoff(dec: FineFrobenius, spec: SeriesSpec, p: int, target, terms):
     # (eigenvalue-data valuation, matrix valuation, shifted) per tail source;
     # neither valuation depends on the cutoff
     sources = []
-    for cov in dec.linear:
-        v = padic_valuation(Fraction(cov.eigenvalue), p)
-        sources.append((v, _matrix_min_valuation(cov.matrix, p), False))
-    for cov in dec.quadratic:
-        v = _padic_quad_valuation(Fraction(cov.alpha), Fraction(cov.n), p)
-        sources.append((v, _matrix_min_valuation(cov.projector, p), False))
-        sources.append((v, _matrix_min_valuation(cov.vertical, p), True))
+    for alpha, n, projector, vertical in _covariants(dec):
+        v = _padic_eigen_valuation(alpha, n, p)
+        sources.append((v, _matrix_min_valuation(projector, p), False))
+        if vertical is not None:
+            sources.append((v, _matrix_min_valuation(vertical, p), True))
 
     def certified(t: int):
         best = math.inf
@@ -791,25 +767,23 @@ def apply_named_closed_form(
         else:
             norm_dec = normalize(fine_frobenius(m, seed))
             values = mpmath.matrix(dim, dim)
-            if not norm_dec.kernel_projector.is_zero:
-                f0 = mpmath.mpf(1)  # f(0) for both EXP and COS
-                values = values + f0 * _embed_matrix(norm_dec.kernel_projector)
-            for cov in norm_dec.linear:
-                g = _to_mpf(Fraction(cov.eigenvalue))
-                fg = mpmath.exp(g) if name == "EXP" else mpmath.cos(g)
-                values = values + fg * _embed_matrix(cov.matrix)
-            for cov in norm_dec.quadratic:
-                re = _to_mpf(Fraction(cov.alpha))
-                im = _to_mpf(cov.imaginary)
+            # (Re, Im, P, unit vertical); P = -Bn^2, and Im = 0 on A0 and each A_i
+            parts = _ground_covariants(norm_dec) + [
+                (cov.alpha, cov.imaginary, cov.projector, cov.vertical_unit)
+                for cov in norm_dec.quadratic
+            ]
+            for alpha, imaginary, projector, unit in parts:
+                re = _to_mpf(Fraction(alpha))
+                im = _to_mpf(imaginary)
                 if name == "EXP":
                     f_re = mpmath.exp(re) * mpmath.cos(im)
                     f_im = mpmath.exp(re) * mpmath.sin(im)
                 else:
                     f_re = mpmath.cos(re) * mpmath.cosh(im)
                     f_im = -mpmath.sin(re) * mpmath.sinh(im)
-                bn = _embed_matrix(cov.vertical_unit)
-                bn2 = _embed_matrix(cov.vertical_unit ** 2)
-                values = values - f_re * bn2 + f_im * bn
+                values = values + f_re * _embed_matrix(projector)
+                if unit is not None:
+                    values = values + f_im * _embed_matrix(unit)
         bounds = mpmath.matrix(dim, dim)
         slack = mpmath.mpf(2) ** (8 - precision)
         for i in range(dim):

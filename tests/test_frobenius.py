@@ -31,6 +31,7 @@ from finefrob.errors import (
     UnorderedGroundField,
     ZeroMatrix,
 )
+from finefrob.frobenius import spectral_components
 from finefrob.jsonio import matrix_from_json
 
 
@@ -122,6 +123,26 @@ def _f7_semisimple(rng, n):
             pos += 1
     p, p_inv = corpus.random_invertible(rng, field, n, 0, 6)
     return p * Matrix(field, rows) * p_inv
+
+
+@pytest.mark.parametrize("field_name", ["Q", "F7"])
+def test_spectral_components_n_zero_exactly_on_linear_factors(field_name):
+    """(gamma, 0) for X - gamma; an irreducible quadratic has -n a non-square."""
+    rng = random.Random(f"components:{field_name}")
+    for _ in range(15):
+        n = rng.randint(1, 5)
+        if field_name == "Q":
+            m = corpus.random_semisimple_sb2(rng, n)
+        else:
+            m = _f7_semisimple(rng, n)
+        spectral = spectrum(m)
+        components = spectral_components(spectral)
+        factors = [h for h, _ in spectral.factorization.factors]
+        assert len(components) == len(factors)
+        for h, (alpha, n_val) in zip(factors, components):
+            assert (n_val == m.field.zero) == (h.degree == 1)
+            if h.degree == 1:
+                assert alpha == -h.coeff(0)
 
 
 @pytest.mark.parametrize("field_name", ["Q", "F7"])
