@@ -49,8 +49,9 @@ from .series import (
 
 _CHECK_TOLERANCE = Fraction(1, 10**12)
 _ORACLE_TERMS = 60
-# caps on apply's overrides: past them one request takes over half a minute;
-# automatic cutoffs stay below (exp of [[0,-1000],[1000,0]] takes 3389 terms)
+# caps on apply's overrides, and on the precision check reads from an apply
+# document: past them one request takes over half a minute; automatic cutoffs
+# stay below (exp of [[0,-1000],[1000,0]] takes 3389 terms)
 TERMS_CAP = 4096
 PRECISION_CAP = 16384
 
@@ -112,6 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     check_cmd.add_argument("result", help="result document to verify")
     check_cmd.add_argument("--seed", type=int, default=0)
     return parser
+
+
+_PARSER = build_parser()
 
 
 def _validate_seed(seed: int):
@@ -295,7 +299,7 @@ def _check_factor(input_doc, result, seed) -> dict:
         _need(item, "coeffs", "multiplicity", what="factor item")
         poly = Polynomial(field, [field.parse(c) for c in item["coeffs"]])
         mult = item["multiplicity"]
-        if not isinstance(mult, int) or mult < 1:
+        if type(mult) is not int or mult < 1:
             raise SchemaMismatch(f"bad multiplicity {mult!r}")
         monic = monic and poly.is_monic
         if poly in seen:
@@ -411,8 +415,10 @@ def _check_apply(input_doc, result, seed) -> dict:
 def _check_apply_arch(m: Matrix, result, spec: SeriesSpec) -> dict:
     _need(result, "precision", what="archimedean apply document")
     precision = result["precision"]
-    if not isinstance(precision, int) or precision < 1:
+    if type(precision) is not int or precision < 1:
         raise SchemaMismatch(f"bad precision {precision!r}")
+    if precision > PRECISION_CAP:
+        raise CapExceeded(f"precision {precision} exceeds the cap {PRECISION_CAP}")
     entries = _result_entries(result, m)
     with mpmath.workprec(precision):
         oracle = taylor_oracle(m, spec, _ORACLE_TERMS, precision)
@@ -432,7 +438,7 @@ def _check_apply_padic(m: Matrix, result, spec: SeriesSpec, seed) -> dict:
     _need(result, "p", "terms", "valuation_bound", what="p-adic apply document")
     p = result["p"]
     terms = result["terms"]
-    if not isinstance(p, int) or not isinstance(terms, int):
+    if type(p) is not int or type(terms) is not int:
         raise SchemaMismatch("p-adic apply document needs integer p and terms")
     entries = _result_entries(result, m)
     av = AbsValue.padic(p)
@@ -442,7 +448,7 @@ def _check_apply_padic(m: Matrix, result, spec: SeriesSpec, seed) -> dict:
         raise CapExceeded(f"terms {terms} exceed the cutoff at precision {PRECISION_CAP}")
     stated = result["valuation_bound"]
     bound = math.inf if stated == "inf" else stated
-    if bound != math.inf and not isinstance(bound, int):
+    if bound != math.inf and type(bound) is not int:
         raise SchemaMismatch(f"bad valuation bound {stated!r}")
     claimed = Matrix(QQ, [[QQ.parse(_cli_str(e)) for e in row] for row in entries])
     # with terms 0 the doubled run searches a cutoff for twice the bound, which
@@ -478,9 +484,8 @@ def _check_domain(input_doc, result, seed) -> dict:
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         envelope = _run(args)
     except InputError as exc:
         print(jsonio.canonical_json({"error": {"code": exc.code, "message": str(exc)}}))

@@ -139,7 +139,7 @@ def matrix_from_json(obj) -> Matrix:
             raise SchemaMismatch(f"matrix document lacks key {key!r}")
     field = field_from_tag(obj["field"])
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SchemaMismatch(f"matrix size must be a positive integer, got {n!r}")
     entries = obj["entries"]
     if (

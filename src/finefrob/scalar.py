@@ -239,13 +239,7 @@ class RationalField:
     def sqrt(self, x):
         """Exact square root of x: a Fraction when x is a square, else a QuadElement."""
         x = self.coerce(x)
-        if x == 0:
-            return Fraction(0)
-        s, c = squarefree_decompose(x.numerator * x.denominator)
-        coeff = Fraction(c, x.denominator)
-        if s == 1:
-            return coeff
-        return _quad(self, Fraction(0), coeff, s)
+        return quad_element(self, 0, 1, x) if x else x
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -421,14 +415,7 @@ class PrimeField:
     def sqrt(self, x):
         """Exact square root: an FpElement for residues, else b*sqrt(nonresidue)."""
         x = self.coerce(x)
-        ok, root = self.is_square(x)
-        if ok:
-            return root
-        # x = nonresidue * (x / nonresidue), and x/nonresidue is a residue
-        c = tonelli_shanks(
-            x.residue * pow(self.nonresidue, self.p - 2, self.p) % self.p, self.p
-        )
-        return _quad(self, self.zero, FpElement(c, self.p), self.nonresidue)
+        return quad_element(self, 0, 1, x) if x.residue else x
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

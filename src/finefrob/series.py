@@ -284,7 +284,7 @@ def _padic_member(alpha: Fraction, n: Fraction, spec: SeriesSpec, p: int) -> boo
     valuations; for named series R = p^(-1/(p-1)) the condition becomes
     2v > 2/(p-1), and for declared rational R it becomes R^2 * p^(2v) > 1.
     """
-    v2 = min(_doubled_valuation(alpha, p), padic_valuation(n, p))
+    v2 = min(2 * padic_valuation(alpha, p), padic_valuation(n, p))
     if spec.name != "CUSTOM":
         if v2 == math.inf:
             return True
@@ -298,11 +298,6 @@ def _padic_member(alpha: Fraction, n: Fraction, spec: SeriesSpec, p: int) -> boo
     if v2 >= 0:
         return r2 * p**v2 > 1
     return r2 > p ** (-v2)
-
-
-def _doubled_valuation(x: Fraction, p: int):
-    v = padic_valuation(x, p)
-    return math.inf if v == math.inf else 2 * v
 
 
 def _member(components, spec: SeriesSpec, av: AbsValue) -> bool:
@@ -664,11 +659,8 @@ def apply_series(
 # -- p-adic backend ----------------------------------------------------------
 
 def _padic_eigen_valuation(alpha: Fraction, n: Fraction, p: int):
-    """min(v(alpha), v(beta)) for beta^2 = -n (Fraction or inf)."""
-    va = padic_valuation(alpha, p)
-    vn = padic_valuation(n, p)
-    vb = vn / 2 if vn != math.inf else math.inf
-    return min(va, vb)
+    """min(v(alpha), v(beta)) for beta^2 = -n (inf for alpha = n = 0)."""
+    return min(padic_valuation(alpha, p), padic_valuation(n, p) / 2)
 
 
 def _matrix_min_valuation(mat: Matrix, p: int):

@@ -12,9 +12,11 @@ Arithmetic in a quadratic extension keeps the canonical radicand of its
 operands: only ``sqrt`` and ``quad_element`` reduce one, counted by wrapping
 ``squarefree_decompose``.  The archimedean cutoff search sums an exact tail
 only at a cutoff whose first tail term is below the target, counted by
-wrapping ``series._tail_bound``.
+wrapping ``series._tail_bound``.  ``main`` parses with the parser built at
+import and constructs no ``argparse.ArgumentParser`` of its own.
 """
 
+import argparse
 import collections
 import sys
 from fractions import Fraction
@@ -247,3 +249,20 @@ def test_cutoff_search_sums_no_hopeless_tail(monkeypatch, tmp_path, capsys):
     assert main(["apply", str(path), "--fn", "exp", "--abs", "arch"]) == 0
     assert '"terms":3389' in capsys.readouterr().out
     assert calls["tail"] == 2
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    built = collections.Counter()
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built["parser"] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["minpoly", _input("q_semisimple")]) == 0
+    assert main(["fine", _input("q_semisimple")]) == 0
+    assert main(["apply", _input("q_worked"), "--fn", "exp", "--abs", "arch"]) == 0
+    assert main(["minpoly", _input("q_semisimple"), "--no-such-flag"]) == 1
+    capsys.readouterr()
+    assert built["parser"] == 0

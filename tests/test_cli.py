@@ -357,6 +357,58 @@ def test_check_padic_apply_forged_bound_fails_without_the_doubled_run(
     assert verdict["report"] == {"doubled_cutoff_within_bound": False}
 
 
+def _golden_result(name):
+    expected = (GOLDEN / "expected" / f"{name}.txt").read_text()
+    return json.loads(expected.split("\n", 1)[1])
+
+
+@pytest.mark.parametrize("precision, code", [(16384, 0), (16385, 2)])
+def test_check_apply_arch_precision_cap(tmp_path, capsys, precision, code):
+    doc = _golden_result("apply-exp-arch-q_semisimple")
+    doc["result"]["precision"] = precision
+    rpath = write_doc(tmp_path, "r.json", doc)
+    got, verdict = run_json(
+        capsys, ["check", str(GOLDEN / "inputs" / "q_semisimple.json"), rpath]
+    )
+    assert got == code
+    if code:
+        assert verdict["error"]["code"] == "CapExceeded"
+    else:
+        assert verdict["result"]["checked_command"] == "apply"
+
+
+@pytest.mark.parametrize(
+    "result, source, path",
+    [
+        ("apply-sin-padic3-q_semisimple", "q_semisimple", ("p",)),
+        ("apply-sin-padic3-q_semisimple", "q_semisimple", ("terms",)),
+        ("apply-sin-padic3-q_semisimple", "q_semisimple", ("valuation_bound",)),
+        ("apply-exp-arch-q_semisimple", "q_semisimple", ("precision",)),
+        ("factor-f3", "f3_poly", ("factors", 1, "multiplicity")),
+        ("minpoly-q_worked", "q_worked", None),
+    ],
+    ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else None,
+)
+def test_json_boolean_is_not_an_integer(tmp_path, capsys, result, source, path):
+    """true would read as 1 where an integer is expected."""
+    doc = _golden_result(result)
+    input_doc = json.loads((GOLDEN / "inputs" / f"{source}.json").read_text())
+    if path is None:  # the size of the input matrix
+        input_doc["entries"] = input_doc["entries"][:1]
+        input_doc["entries"][0] = input_doc["entries"][0][:1]
+        input_doc["n"] = True
+    else:
+        target = doc["result"]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = True
+    ipath = write_doc(tmp_path, "i.json", input_doc)
+    rpath = write_doc(tmp_path, "r.json", doc)
+    code, verdict = run_json(capsys, ["check", ipath, rpath])
+    assert code == 1
+    assert verdict["error"]["code"] == "SchemaMismatch"
+
+
 def _golden_fine_document():
     expected = (GOLDEN / "expected" / "fine-q_semisimple.txt").read_text()
     return json.loads(expected.split("\n", 1)[1])
