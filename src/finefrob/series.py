@@ -541,8 +541,9 @@ def _require_rational_matrix(m: Matrix):
 def _ground_covariants(dec) -> list[tuple]:
     """(gamma, 0, projector, None) for A0, when nonzero, and for each A_i."""
     zero = Fraction(0)
-    kernel = [] if dec.kernel_projector.is_zero else [(zero, zero, dec.kernel_projector, None)]
-    return kernel + [(Fraction(cov.eigenvalue), zero, cov.matrix, None) for cov in dec.linear]
+    a0 = dec.kernel_projector
+    kernel = [] if a0.is_zero else [(zero, zero, a0, None)]
+    return kernel + [(Fraction(c.eigenvalue), zero, c.matrix, None) for c in dec.linear]
 
 
 def _covariants(dec: FineFrobenius) -> list[tuple]:
@@ -765,8 +766,7 @@ def apply_named_closed_form(
                 for cov in norm_dec.quadratic
             ]
             for alpha, imaginary, projector, unit in parts:
-                re = _to_mpf(Fraction(alpha))
-                im = _to_mpf(imaginary)
+                re, im = _to_mpf(alpha), _to_mpf(imaginary)
                 if name == "EXP":
                     f_re = mpmath.exp(re) * mpmath.cos(im)
                     f_im = mpmath.exp(re) * mpmath.sin(im)
