@@ -144,12 +144,13 @@ def fine_frobenius(m: Matrix, seed: int = 0) -> FineFrobenius:
 def fine_from_spectrum(m: Matrix, spectral: Spectrum) -> FineFrobenius:
     """``fine_frobenius`` of a nonzero ground-field M from M's spectrum."""
     field = m.field
+    components = spectral_components(spectral)
+    projectors = crt_projectors(spectral.factorization, m)
     ident = Matrix.identity(field, m.n)
     kernel = Matrix.zeros(field, m.n)
     linear = []
     quadratic = []
-    projectors = crt_projectors(spectral.factorization, m)
-    for (alpha, n), proj in zip(spectral_components(spectral), projectors):
+    for (alpha, n), proj in zip(components, projectors):
         if n != field.zero:
             vertical = (m - ident.scale(alpha)) * proj
             quadratic.append(QuadCovariant(alpha, n, vertical, proj))
