@@ -312,3 +312,78 @@ def test_quadratic_entries_take_the_element_path(data):
     f = Polynomial(field, data.draw(st.lists(digit, max_size=6)))
     oracle = oracles.poly_eval_matrix(field, list(f.coeffs), a.rows)
     assert eval_poly_at_matrix(f, a).rows == oracle
+
+
+# ---------------------------------------------------------------------------
+# kernels over Q (integer numerators over a common denominator)
+# ---------------------------------------------------------------------------
+
+NEAR_1E30 = st.integers(10**30 - 10**3, 10**30 + 10**3)
+
+
+@st.composite
+def q_matrices(draw, count=1):
+    """(QQ, matrices) over Q, n <= 6.
+
+    Entries lean to 0, 1 and -1 with negative numerators, over mixed
+    denominators, some near 10^30; a matrix may be zero, scalar, or repeat
+    one diagonal block (then be conjugated by a unit triangular matrix), so
+    minimal polynomials of degree below n are drawn too.
+    """
+    n = draw(st.integers(1, 6))
+    den = st.sampled_from((1, 1, 2, 3, 12, 35)) | NEAR_1E30
+    num = st.sampled_from((0, 1, -1)) | st.integers(-50, 50)
+    entry = st.builds(Fraction, num, den)
+
+    def square(k):
+        row = st.lists(entry, min_size=k, max_size=k)
+        return draw(st.lists(row, min_size=k, max_size=k))
+
+    out = []
+    for _ in range(count):
+        shape = draw(st.sampled_from(("dense", "blocks", "zero", "scalar")))
+        if shape == "zero":
+            out.append(Matrix.zeros(QQ, n))
+            continue
+        if shape == "scalar":
+            out.append(Matrix.identity(QQ, n).scale(draw(entry)))
+            continue
+        rows = square(n)
+        k = draw(st.integers(1, n)) if shape == "blocks" else n
+        if k < n:
+            block = square(k)
+            rows = [[block[i % k][j % k] if i // k == j // k else 0 for j in range(n)]
+                    for i in range(n)]
+        m = Matrix(QQ, rows)
+        if k < n and draw(st.booleans()):
+            shear = square(n)
+            upper = Matrix(QQ, [[int(i == j) or shear[i][j] * (i < j) for j in range(n)]
+                                for i in range(n)])
+            m = upper * m * upper.inverse()
+        out.append(m)
+    return out
+
+
+@given(q_matrices(count=2))
+def test_q_product_matches_oracle(drawn):
+    a, b = drawn
+    assert (a * b).rows == oracles.mat_mul(QQ, a.rows, b.rows)
+
+
+@given(q_matrices())
+def test_q_minimal_polynomial_matches_oracle(drawn):
+    (m,) = drawn
+    oracle = oracles.oracle_minimal_polynomial(QQ, m.rows)
+    assert list(minimal_polynomial(m).coeffs) == oracle
+
+
+@given(q_matrices(),
+       st.lists(st.lists(st.builds(Fraction, st.integers(-9, 9),
+                                   st.sampled_from((1, 2, 3, 10)) | NEAR_1E30),
+                         max_size=8),
+                min_size=1, max_size=3))
+def test_q_polynomials_at_matrix_match_oracle(drawn, coeff_lists):
+    (m,) = drawn
+    polys = [Polynomial(QQ, cs) for cs in coeff_lists]
+    for f, value in zip(polys, eval_polys_at_matrix(polys, m)):
+        assert value.rows == oracles.poly_eval_matrix(QQ, list(f.coeffs), m.rows)

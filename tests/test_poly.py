@@ -149,6 +149,50 @@ def test_squarefree_part_char_p_inseparable_power():
     assert squarefree_part(fp(3, 0, 0, 0, 1)) == fp(3, 0, 1)
 
 
+# a prime squarefree_part may certify modulo, and small ones
+CERTIFY_PRIMES = (3, 5, 7, 2**31 - 1)
+
+
+def _sympy_squarefree_part(sympy, f):
+    part = _to_sympy(sympy, f).sqf_part().monic()
+    return Polynomial(QQ, [Fraction(str(c)) for c in reversed(part.all_coeffs())])
+
+
+@given(
+    st.lists(st.tuples(st.lists(st.integers(-6, 6), min_size=1, max_size=3),
+                       st.integers(1, 6), st.integers(1, 3)),
+             min_size=1, max_size=4),
+    st.sampled_from(CERTIFY_PRIMES),
+    st.sampled_from(("none", "lead", "lead squared", "discriminant")),
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+)
+def test_squarefree_part_matches_sympy(factors, prime, twist, root, scale):
+    """Products with repeated factors, optionally times (pX + r) or its square,
+    whose leading coefficient p divides, or times (X - r)(X - r - p), whose
+    discriminant p divides."""
+    sympy = pytest.importorskip("sympy")
+    f = Polynomial.constant(QQ, scale)
+    for low, lead, mult in factors:
+        f = f * q(*low, lead) ** mult
+    if twist.startswith("lead"):
+        f = f * q(root, prime) ** (2 if twist.endswith("squared") else 1)
+    elif twist == "discriminant":
+        f = f * q(-root, 1) * q(-root - prime, 1)
+    assert squarefree_part(f) == _sympy_squarefree_part(sympy, f), f
+
+
+@pytest.mark.parametrize("prime", CERTIFY_PRIMES)
+def test_squarefree_part_modular_corner_cases(prime):
+    """f mod p is squarefree for the first two, yet f is not; the last is
+    squarefree, yet f mod p is not."""
+    assert squarefree_part(q(1, prime) ** 2 * q(-1, 1)) == (q(1, prime) * q(-1, 1)).monic()
+    assert squarefree_part(q(1, prime) ** 3) == q(1, prime).monic()
+    f = q(-3, 1) * q(-3 - prime, 1)
+    assert squarefree_part(f) == f
+    assert squarefree_part(f * q(-3, 1)) == f
+
+
 # ---------------------------------------------------------------------------
 # factorization over Q
 # ---------------------------------------------------------------------------
