@@ -8,12 +8,15 @@ by lcm, which certifies minimality without any factorization.
 
 Polynomials are evaluated at a matrix on one path, ``eval_polys_at_matrix``:
 the powers I, M, ..., M^e are computed once and every polynomial is a linear
-combination of them.  Over a ground F_p (no quadratic entries) the product,
-that combination and the Krylov iteration (its matrix-vector products and
-its elimination) run on plain int residues: each result entry is reduced
-mod p once, and becomes an ``FpElement`` again only when the result matrix
-or polynomial is built.  Over Q, and with quadratic entries, the same loops
-run on the elements.
+combination of them.  Over a ground field the product, that combination
+and the Krylov iteration run on plain ints, one loop for both fields: on
+residues over F_p, and over Q on the integer matrix a = d M, d the lcm of
+the entry denominators, so that a product is (a b, da db).  Each result
+entry becomes an element once, when the result is built.  Over Q the
+Krylov relations come from fraction-free elimination, each reduced vector
+divided by its content (cf. Bareiss, Math. Comp. 22, 1968), and X -> dX
+turns the minimal polynomial of a into M's.  Only with quadratic entries do
+the loops run on the elements.
 
 ``Spectrum`` is the spectral data every decomposition reads: the minimal
 polynomial together with its factorization into monic irreducibles, built
@@ -23,8 +26,10 @@ recomputed.  It also answers K-regularity (``irregular_degree``).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     DimensionMismatch,
@@ -34,7 +39,7 @@ from .errors import (
     NotKRegular,
 )
 from .poly import Factorization, Polynomial, factor, poly_gcd, poly_lcm
-from .scalar import QuadElement, is_k_regular_degree
+from .scalar import FpElement, QuadElement, is_k_regular_degree
 
 __all__ = [
     "Matrix",
@@ -115,6 +120,18 @@ class Matrix:
             rows[i][d - 1] = -poly.coeff(i)
         return cls(field, rows)
 
+    @classmethod
+    def _of(cls, field, p, rows, d=1) -> "Matrix":
+        """rows / d from a kernel, p as ``_values`` gave it: each int made an
+        ``FpElement`` or a ``Fraction`` once, and not coerced again."""
+        if p is None:  # elements, checked as any others
+            return cls(field, rows)
+        m = object.__new__(cls)
+        make, k = (FpElement, p) if p else (Fraction, d)
+        m.field, m.n, m.radical = field, len(rows), None
+        m.rows = tuple(tuple(map(make, row, [k] * len(row))) for row in rows)
+        return m
+
     # -- structure -----------------------------------------------------------
 
     def entry(self, i: int, j: int):
@@ -175,9 +192,8 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check(other)
-            _, a, b = _values(self, other)
-            cols = list(zip(*b))
-            return Matrix(self.field, [[_dot(row, col) for col in cols] for row in a])
+            p, (a, da), (b, db) = _values(self, other)
+            return Matrix._of(self.field, p, _product(a, b), da * db)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -270,18 +286,34 @@ def _coerce_entry(field, e):
 
 
 def _values(*ms):
-    """(p, the entry rows of each m) to compute on: p and int residues when
-    every m is over ground F_p, else 0 and the elements themselves.  Results
-    go back through ``Matrix()``, which reduces each residue mod p once."""
-    p = ms[0].field.characteristic
-    if p and all(m.radical is None for m in ms):
-        return (p, *([[e.residue for e in row] for row in m.rows] for m in ms))
-    return (0, *(m.rows for m in ms))
+    """(p, (rows, d) for each m) to compute on, m being rows / d.
+
+    Over a ground F_p, p and the int residues, d = 1; over a ground Q, 0 and
+    the integer numerators over d, the lcm of the entry denominators; with
+    quadratic entries, None and the elements, d = 1.  Results go back
+    through ``Matrix._of``, which reduces each residue mod p once.
+    """
+    field = ms[0].field
+    if any(m.radical is not None for m in ms):
+        return (None, *((m.rows, 1) for m in ms))
+    if field.characteristic:
+        return (field.characteristic,
+                *(([[e.residue for e in row] for row in m.rows], 1) for m in ms))
+    out = []
+    for m in ms:
+        d = math.lcm(*(e.denominator for row in m.rows for e in row))
+        out.append(([[e.numerator * (d // e.denominator) for e in row] for row in m.rows], d))
+    return (0, *out)
 
 
-def _reduce(vec: list, p: int) -> list:
-    """vec with its int residues reduced mod p; vec itself when p is 0."""
-    return [a % p for a in vec] if p else vec
+def _identity(n: int) -> list:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _product(a, b) -> list:
+    """The rows of a b, unreduced."""
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
 
 
 def _dot(u, v):
@@ -300,72 +332,95 @@ def eval_poly_at_matrix(f: Polynomial, m: Matrix) -> Matrix:
 def eval_polys_at_matrix(polys, m: Matrix) -> list[Matrix]:
     """[f(m) for f in polys], each a linear combination of one table of powers.
 
-    The table I, m, ..., m^e (e the largest degree) takes e - 1 matrix
-    products, however many polynomials share it.
+    The table I, a, ..., a^e (e the largest degree, m = a / d) takes e - 1
+    products on ``_values``, however many polynomials share it; over Q,
+    f(m) = sum c_k L d^(e-k) a^k / (L d^e) for f of degree e, L the lcm of
+    the denominators of its coefficients c_k.
     """
     field, n = m.field, m.n
     if any(f.field != field for f in polys):
         raise FieldMismatch("polynomial and matrix over different fields")
-    powers = [Matrix.identity(field, n), m]
+    p, (a, d) = _values(m)
+    powers = [_identity(n), a]
     while len(powers) <= max((f.degree for f in polys), default=0):
-        powers.append(powers[-1] * m)
-    p, *tables = _values(*powers)
-    flat = [[e for row in table for e in row] for table in tables]
+        powers.append(_product(powers[-1], a))
+    flat = [[e for row in power for e in row] for power in powers]
     out = []
     for f in polys:
+        cs, den = _coefficients(f, p, d)
         acc = [0] * (n * n)
-        for c, power in zip([c.residue for c in f.coeffs] if p else f.coeffs, flat):
+        for c, power in zip(cs, flat):
             if c:
-                acc = [a + c * e for a, e in zip(acc, power)]
-        out.append(Matrix(field, [acc[i : i + n] for i in range(0, n * n, n)]))
+                acc = [x + c * e for x, e in zip(acc, power)]
+        out.append(Matrix._of(field, p, [acc[i : i + n] for i in range(0, n * n, n)], den))
     return out
+
+
+def _coefficients(f: Polynomial, p, d: int):
+    """(the multipliers of a^0, a^1, ... in f(a / d), their denominator)."""
+    if p:
+        return [c.residue for c in f.coeffs], 1
+    if p is None:
+        return f.coeffs, 1
+    e = max(f.degree, 0)
+    lcm = math.lcm(*(c.denominator for c in f.coeffs))
+    scaled = [c.numerator * (lcm // c.denominator) * d ** (e - k) for k, c in enumerate(f.coeffs)]
+    return scaled, lcm * d**e
 
 
 def minimal_polynomial(m: Matrix) -> Polynomial:
     """Monic minimal polynomial via Krylov relations, lcm-combined per basis vector.
 
     For each standard basis vector the first linear dependence among
-    v, Mv, M^2 v, ... is found by exact elimination (deterministic
-    first-nonzero pivoting); the relation is the local annihilator, and the
-    lcm over all basis vectors annihilates every vector, hence the matrix.
+    v, Av, A^2 v, ... (A = a = d M from ``_values``) is found by exact
+    elimination (deterministic first-nonzero pivoting); the relation is the
+    local annihilator, and the lcm over all basis vectors annihilates every
+    vector, hence A.  The roots of M's are those of A's over d.
     """
     field = m.field
-    p, rows = _values(m)
-    zero, one = (0, 1) if p else (field.zero, field.one)
+    p, (a, d) = _values(m)
     acc = Polynomial.one(field)
     for j in range(m.n):
         if acc.degree == m.n:
             break
-        vec = [one if i == j else zero for i in range(m.n)]
-        local = Polynomial(field, _local_annihilator(rows, vec, p, zero, one))
+        local = Polynomial(field, _local_annihilator(a, j, p))
         acc = poly_lcm(acc, local.monic())
-    return acc
+    if d == 1:
+        return acc
+    return Polynomial(field, [c / d ** (acc.degree - k) for k, c in enumerate(acc.coeffs)])
 
 
-def _local_annihilator(rows, vec: list, p: int, zero, one) -> list:
-    """Coefficients of a least-degree f with f(M) vec = 0, for M with these
-    rows: on int residues, each value read reduced mod p, when p is nonzero,
-    else on the elements themselves."""
+def _local_annihilator(a, j: int, p) -> list:
+    """Int coefficients, constant first, of a least-degree g with g(A) e_j = 0,
+    for the matrix A with rows a: on residues, each value read reduced mod p,
+    when p is nonzero; else fraction-free, each reduced vector and its
+    combination divided by their content."""
     # each stored row: (pivot index, reduced vector, combination over Krylov powers)
     basis: list[tuple[int, list, list]] = []
-    current = vec
-    combo = [one]
+    current = [int(i == j) for i in range(len(a))]
     while True:
-        red, red_combo = current, list(combo)
+        red, red_combo = current, [0] * len(basis) + [1]
         for pivot, bvec, bcombo in basis:
             c = red[pivot] % p if p else red[pivot]
             if c:
-                red = [a - c * b for a, b in zip(red, bvec)]
-                red_combo[: len(bcombo)] = [a - c * b for a, b in zip(red_combo, bcombo)]
-        red = _reduce(red, p)
-        pivot = next((i for i, a in enumerate(red) if a), None)
+                s = bvec[pivot]  # 1 over F_p
+                if s != 1:
+                    red, red_combo = [s * x for x in red], [s * x for x in red_combo]
+                red = [x - c * y for x, y in zip(red, bvec)]
+                red_combo[: len(bcombo)] = [x - c * y for x, y in zip(red_combo, bcombo)]
+        if p:  # reduced, with the first nonzero residue scaled to 1
+            inv = pow(next((x % p for x in red if x % p), 1), -1, p)
+            red, red_combo = [inv * x % p for x in red], [inv * x % p for x in red_combo]
+        else:
+            g = math.gcd(*red, *red_combo)
+            red, red_combo = [x // g for x in red], [x // g for x in red_combo]
+        pivot = next((i for i, x in enumerate(red) if x), None)
         if pivot is None:
             return red_combo
-        inv = pow(red[pivot], -1, p) if p else one / red[pivot]
-        scaled = (_reduce([inv * a for a in v], p) for v in (red, red_combo))
-        basis.append((pivot, *scaled))
-        current = _reduce([_dot(row, current) for row in rows], p)
-        combo = [zero] + combo  # multiply the tracked polynomial by X
+        basis.append((pivot, red, red_combo))
+        current = [_dot(row, current) for row in a]
+        if p:
+            current = [x % p for x in current]
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from .frobenius import (
     normalize,
     spectral_components,
 )
-from .matrix import Matrix, spectrum
+from .matrix import Matrix, _identity, _product, _values, spectrum
 from .scalar import QQ, AbsValue, QuadElement, padic_valuation
 
 __all__ = [
@@ -821,22 +821,21 @@ def complete_jc_of_image(
 def taylor_partial_exact(m: Matrix, spec: SeriesSpec, terms: int) -> Matrix:
     """sum_{k<=terms} a_k M^k by exact integer matrix powers.
 
-    The powers are those of N = vM, v the lcm of the entry denominators; each
-    entry is one integer accumulator over the walk's denominator, made a
-    Fraction once at the end.
+    The powers are those of the integer matrix vM of the matrix kernels, v
+    the lcm of the entry denominators; each entry is one integer accumulator
+    over the walk's denominator, made a Fraction once at the end.
     """
     _require_rational_matrix(m)
-    v = math.lcm(*(e.denominator for row in m.rows for e in row))
-    cols = list(zip(*([e.numerator * (v // e.denominator) for e in row] for row in m.rows)))
-    power = [[int(i == j) for j in range(m.n)] for i in range(m.n)]
+    _, (a, v) = _values(m)
+    power = _identity(m.n)
     acc = [[0] * m.n for _ in range(m.n)]
     den = 1
     for k, (step, c) in enumerate(_walk(spec, terms, v)):
         acc = [[x * step + c * y for x, y in zip(ra, rp)] for ra, rp in zip(acc, power)]
         den *= step
         if k < terms:
-            power = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in power]
-    return Matrix(m.field, [[Fraction(x, den) for x in row] for row in acc])
+            power = _product(power, a)
+    return Matrix._of(m.field, 0, acc, den)
 
 
 def taylor_oracle(

@@ -1,5 +1,6 @@
 """Exact matrices, minimal polynomials, and structural predicates."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import corpus
+import finefrob.matrix
 import oracles
 from finefrob import (
     Matrix,
@@ -387,3 +389,19 @@ def test_q_polynomials_at_matrix_match_oracle(drawn, coeff_lists):
     polys = [Polynomial(QQ, cs) for cs in coeff_lists]
     for f, value in zip(polys, eval_polys_at_matrix(polys, m)):
         assert value.rows == oracles.poly_eval_matrix(QQ, list(f.coeffs), m.rows)
+
+
+@given(q_matrices())
+def test_krylov_relations_are_primitive(drawn):
+    """Each local annihilator of the integer matrix a of m is a primitive
+    integer relation: sum g_k a^k e_j = 0 with content 1."""
+    (m,) = drawn
+    _, (a, _) = finefrob.matrix._values(m)
+    for j in range(m.n):
+        relation = finefrob.matrix._local_annihilator(a, j, 0)
+        assert math.gcd(*relation) == 1
+        vec, acc = [int(i == j) for i in range(m.n)], [0] * m.n
+        for g in relation:
+            acc = [x + g * v for x, v in zip(acc, vec)]
+            vec = [sum(x * v for x, v in zip(row, vec)) for row in a]
+        assert not any(acc)
