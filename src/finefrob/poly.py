@@ -6,9 +6,12 @@ or quadratic-extension scalars), derivative, composition, and exact division.
 
 Factorization is complete for both supported ground fields:
 
-* over Q: clear denominators, pull the rational roots by lifting the roots
-  modulo a small prime p-adically (no integer is factored; von zur Gathen &
-  Gerhard, Modern Computer Algebra, ch. 15), then Zassenhaus' modular
+* over Q: take the squarefree part, which is f itself with no gcd over Q
+  once p = SQUAREFREE_PRIME divides not the leading coefficient of f's
+  primitive integer form and gcd(f mod p, f' mod p) = 1 (von zur Gathen &
+  Gerhard, Modern Computer Algebra, ch. 14); clear denominators, pull the
+  rational roots by lifting the roots modulo a small prime p-adically (no
+  integer is factored; ibid., ch. 15), then Zassenhaus' modular
   algorithm: factor modulo small primes (their factor-degree patterns bound
   the degrees of rational factors and often certify irreducibility),
   Hensel-lift the factors modulo the prime with the fewest of them past a
@@ -68,6 +71,7 @@ __all__ = [
 ]
 
 FACTOR_DEGREE_CAP = 24
+SQUAREFREE_PRIME = 2**31 - 1  # squarefree_part certifies over Q modulo it
 
 
 class Polynomial:
@@ -388,8 +392,7 @@ def factor(f: Polynomial, seed: int = 0) -> Factorization:
 
 def _factor_q(f: Polynomial) -> dict[Polynomial, int]:
     """Factor a monic polynomial over Q (degree >= 1)."""
-    sf = (f // poly_gcd(f, f.derivative())).monic() if f.degree > 1 else f
-    out, rem = _multiplicities(f, _factor_squarefree_q(sf))
+    out, rem = _multiplicities(f, _factor_squarefree_q(squarefree_part(f)))
     if rem.degree != 0:
         raise FactorizationFailed("incomplete factor set")  # pragma: no cover
     return out
@@ -535,11 +538,8 @@ def _modular_factors(coeffs: list[int]) -> tuple[set[int], list[Polynomial]] | N
     # good, which always happens since the polynomial is squarefree
     while good < 3 and (q < 47 or not good):
         q += 2
-        if not is_probable_prime(q) or coeffs[-1] % q == 0:
-            continue
-        field = PrimeField(q)
-        fq = Polynomial(field, [field.from_int(c) for c in coeffs])
-        if poly_gcd(fq, fq.derivative()).degree != 0:
+        fq = _squarefree_mod(coeffs, q) if is_probable_prime(q) else None
+        if fq is None:
             continue
         factors = list(_factor_fp(fq.monic(), random.Random(q)))
         degs = [h.degree for h in factors]
@@ -555,6 +555,16 @@ def _modular_factors(coeffs: list[int]) -> tuple[set[int], list[Polynomial]] | N
     if not any(2 <= d <= deg - 2 for d in allowed):
         return None
     return allowed, fewest
+
+
+def _squarefree_mod(coeffs: list[int], q: int) -> Polynomial | None:
+    """f mod the prime q, for the primitive integer coefficients of f, when q
+    does not divide the leading coefficient and f mod q is squarefree, which
+    certifies that f is squarefree over Q; else None."""
+    if coeffs[-1] % q == 0:
+        return None
+    fq = Polynomial(PrimeField(q), coeffs)
+    return fq if poly_gcd(fq, fq.derivative()).degree == 0 else None
 
 
 def _mul(a: list[int], b: list[int]) -> list[int]:
@@ -703,16 +713,19 @@ def _equal_degree_split(g: Polynomial, d: int, rng: random.Random) -> list[Polyn
 def squarefree_part(f: Polynomial, seed: int = 0) -> Polynomial:
     """Monic product of the distinct irreducible factors of f.
 
-    In characteristic 0 this is f / gcd(f, f'), which never touches the
-    factorization machinery.  In characteristic p the gcd route breaks when a
-    factor multiplicity is divisible by p (the derivative can vanish), so the
-    result is assembled from the full factorization instead.
+    In characteristic 0 this is f when f mod SQUAREFREE_PRIME certifies it
+    squarefree, else f / gcd(f, f'): no factorization.  In characteristic p
+    the gcd route breaks when a factor multiplicity is divisible by p (the
+    derivative can vanish), so the result is assembled from the full
+    factorization instead.
     """
     if f.is_zero:
         raise ZeroPolynomial("zero polynomial has no squarefree part")
     if f.degree == 0:
         return Polynomial.one(f.field)
     if f.field.characteristic == 0:
+        if _squarefree_mod(_clear_denominators(f), SQUAREFREE_PRIME) is not None:
+            return f.monic()
         return (f // poly_gcd(f, f.derivative())).monic()
     return factor(f, seed).radical(f.field)
 

@@ -6,14 +6,17 @@ wrappers, and each CLI command is run once on a golden input.  A
 decomposition computes its matrix's spectral data once; the Newton route over
 Q factors nothing; ``check`` recomputes on its own and keeps its counts.
 The CRT projectors of a matrix share one table of its powers, counted by
-wrapping ``Matrix.__mul__``, which also counts the products each ``check``
-takes and those of ``M**k``; ``check fine`` calls ``verify_fine`` once.
+wrapping the int product kernel ``matrix._product``; wrapping
+``Matrix.__mul__`` counts the products each ``check`` takes and those of
+``M**k``; ``check fine`` calls ``verify_fine`` once.
 Arithmetic in a quadratic extension keeps the canonical radicand of its
 operands: only ``sqrt`` and ``quad_element`` reduce one, counted by wrapping
 ``squarefree_decompose``.  The archimedean cutoff search sums an exact tail
 only at a cutoff whose first tail term is below the target, counted by
 wrapping ``series._tail_bound``.  ``main`` parses with the parser built at
 import and constructs no ``argparse.ArgumentParser`` of its own.
+``squarefree_part`` over Q runs Euclid's algorithm only when its modular
+certificate fails, counted by wrapping ``poly_gcd`` by field.
 """
 
 import argparse
@@ -268,3 +271,24 @@ def test_main_builds_no_parser(monkeypatch, capsys):
     assert main(["minpoly", _input("q_semisimple"), "--no-such-flag"]) == 1
     capsys.readouterr()
     assert built["parser"] == 0
+
+
+def test_squarefree_part_of_squarefree_minpoly_takes_no_gcd_over_q(monkeypatch):
+    """The minimal polynomial of a dense rational 6x6, squarefree, is
+    certified modulo a prime; its square falls back to one gcd over Q."""
+    m = Matrix(QQ, [[Fraction(3 * i - 2 * j + 1, (i * j) % 7 + 2) for j in range(6)]
+                    for i in range(6)])
+    mpoly = finefrob.matrix.minimal_polynomial(m)
+    assert mpoly.degree == 6
+    calls = collections.Counter()
+    original = finefrob.poly.poly_gcd
+
+    def counting(f, g):
+        calls[f.field.tag] += 1
+        return original(f, g)
+
+    monkeypatch.setattr(finefrob.poly, "poly_gcd", counting)
+    assert finefrob.poly.squarefree_part(mpoly) == mpoly
+    assert calls["Q"] == 0 and calls[f"Fp:{finefrob.poly.SQUAREFREE_PRIME}"] == 1
+    assert finefrob.poly.squarefree_part(mpoly * mpoly) == mpoly
+    assert calls["Q"] == 1

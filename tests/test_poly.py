@@ -33,7 +33,7 @@ from finefrob.errors import (
     Reducible,
     ZeroPolynomial,
 )
-from finefrob.poly import _clear_denominators, _rational_roots
+from finefrob.poly import SQUAREFREE_PRIME, _clear_denominators, _rational_roots
 from finefrob.scalar import is_probable_prime
 
 # a 126-bit semiprime: listing the divisors of a constant term like it means factoring it
@@ -149,8 +149,8 @@ def test_squarefree_part_char_p_inseparable_power():
     assert squarefree_part(fp(3, 0, 0, 0, 1)) == fp(3, 0, 1)
 
 
-# a prime squarefree_part may certify modulo, and small ones
-CERTIFY_PRIMES = (3, 5, 7, 2**31 - 1)
+# the prime squarefree_part certifies modulo, and small ones
+CERTIFY_PRIMES = (3, 5, 7, SQUAREFREE_PRIME)
 
 
 def _sympy_squarefree_part(sympy, f):
