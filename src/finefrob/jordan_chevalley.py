@@ -218,8 +218,8 @@ def complete_jc(m: Matrix, seed: int = 0) -> CompleteJC:
         alpha = k_projection_of_factor(h)
         horizontal = horizontal + proj.scale(alpha)
         data.append(FactorData(h, mult, proj, alpha))
-    # over Q, Newton's q comes from the gcd, so the two routes to S share no
-    # factorization and their agreement stays a check
+    # over Q, Newton's q comes from squarefree_part, so the two routes to S
+    # share no factorization and their agreement stays a check
     mpoly = spectral.minpoly
     q = squarefree_part(mpoly) if field.characteristic == 0 else fact.radical(field)
     newton = _newton(m, mpoly, q)

@@ -38,7 +38,7 @@ from .errors import (
     NotInvertible,
     NotKRegular,
 )
-from .poly import Factorization, Polynomial, factor, poly_gcd, poly_lcm
+from .poly import Factorization, Polynomial, factor, poly_lcm, squarefree_part
 from .scalar import FpElement, QuadElement, is_k_regular_degree
 
 __all__ = [
@@ -462,20 +462,20 @@ def is_k_regular_matrix(m: Matrix, seed: int = 0) -> bool:
 
 
 def is_semisimple(m: Matrix) -> bool:
-    """Whether the minimal polynomial is squarefree (gcd with derivative is 1).
+    """Whether the minimal polynomial is squarefree.
 
-    Requires a K-regular matrix; in positive characteristic this is verified
-    (and costs a factorization) because squarefreeness and semisimplicity are
-    only equivalent for separable factors.
+    Over Q this is ``squarefree_part``'s test.  Positive characteristic
+    requires a K-regular matrix, which is verified from the factorization
+    that also answers, because squarefreeness and semisimplicity are only
+    equivalent for separable factors.
     """
     mp = minimal_polynomial(m)
-    if m.field.characteristic != 0:
-        if Spectrum(mp, factor(mp)).irregular_degree is not None:
-            raise NotKRegular("matrix is not K-regular")
-    deriv = mp.derivative()
-    if deriv.is_zero:
-        return False  # some multiplicity is divisible by the characteristic
-    return poly_gcd(mp, deriv).degree == 0
+    if m.field.characteristic == 0:
+        return squarefree_part(mp) == mp
+    fact = factor(mp)
+    if Spectrum(mp, fact).irregular_degree is not None:
+        raise NotKRegular("matrix is not K-regular")
+    return fact.is_squarefree
 
 
 def is_nilpotent(m: Matrix) -> bool:

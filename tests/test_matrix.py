@@ -197,6 +197,9 @@ def test_is_semisimple():
     assert is_semisimple(rot)
     assert not is_semisimple(qmat([[1, 1], [0, 1]]))
     assert is_semisimple(Matrix.diagonal(QQ, [Fraction(2), Fraction(2)]))
+    f7 = PrimeField(7)
+    assert is_semisimple(Matrix(f7, [[0, 6], [1, 0]]))  # X^2 + 1, irreducible mod 7
+    assert not is_semisimple(Matrix(f7, [[3, 1], [0, 3]]))
 
 
 def test_is_semisimple_char_p_requires_k_regularity():
