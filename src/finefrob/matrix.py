@@ -13,10 +13,10 @@ and the Krylov iteration run on plain ints, one loop for both fields: on
 residues over F_p, and over Q on the integer matrix a = d M, d the lcm of
 the entry denominators, so that a product is (a b, da db).  Each result
 entry becomes an element once, when the result is built.  Over Q the
-Krylov relations come from fraction-free elimination, each reduced vector
-divided by its content (cf. Bareiss, Math. Comp. 22, 1968), and X -> dX
-turns the minimal polynomial of a into M's.  Only with quadratic entries do
-the loops run on the elements.
+Krylov relations come from fraction-free elimination with exact division
+(Bareiss, Math. Comp. 22, 1968), and X -> dX turns the minimal polynomial
+of a into M's.  Only with quadratic entries do the loops run on the
+elements.
 
 ``Spectrum`` is the spectral data every decomposition reads: the minimal
 polynomial together with its factorization into monic irreducibles, built
@@ -30,6 +30,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import (
     DimensionMismatch,
@@ -393,27 +394,23 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
 def _local_annihilator(a, j: int, p) -> list:
     """Int coefficients, constant first, of a least-degree g with g(A) e_j = 0,
     for the matrix A with rows a: on residues, each value read reduced mod p,
-    when p is nonzero; else fraction-free, each reduced vector and its
-    combination divided by their content."""
+    when p is nonzero; else fraction-free by Bareiss's exact division, so
+    that every value is a minor of the matrix with rows (A^t e_j, e_t)."""
     # each stored row: (pivot index, reduced vector, combination over Krylov powers)
     basis: list[tuple[int, list, list]] = []
     current = [int(i == j) for i in range(len(a))]
     while True:
-        red, red_combo = current, [0] * len(basis) + [1]
+        red, red_combo, prev = current, [0] * len(basis) + [1], 1
         for pivot, bvec, bcombo in basis:
-            c = red[pivot] % p if p else red[pivot]
-            if c:
-                s = bvec[pivot]  # 1 over F_p
-                if s != 1:
-                    red, red_combo = [s * x for x in red], [s * x for x in red_combo]
-                red = [x - c * y for x, y in zip(red, bvec)]
-                red_combo[: len(bcombo)] = [x - c * y for x, y in zip(red_combo, bcombo)]
+            s, c = bvec[pivot], (red[pivot] % p if p else red[pivot])  # s is 1 over F_p
+            if c or s != prev:
+                red = [(s * x - c * y) // prev for x, y in zip(red, bvec)]
+                red_combo = [(s * x - c * y) // prev
+                             for x, y in zip_longest(red_combo, bcombo, fillvalue=0)]
+            prev = s
         if p:  # reduced, with the first nonzero residue scaled to 1
             inv = pow(next((x % p for x in red if x % p), 1), -1, p)
             red, red_combo = [inv * x % p for x in red], [inv * x % p for x in red_combo]
-        else:
-            g = math.gcd(*red, *red_combo)
-            red, red_combo = [x // g for x in red], [x // g for x in red_combo]
         pivot = next((i for i, x in enumerate(red) if x), None)
         if pivot is None:
             return red_combo
