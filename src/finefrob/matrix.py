@@ -373,10 +373,10 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
     """Monic minimal polynomial via Krylov relations, lcm-combined per basis vector.
 
     For each standard basis vector the first linear dependence among
-    v, Av, A^2 v, ... (A = a = d M from ``_values``) is found by exact
-    elimination (deterministic first-nonzero pivoting); the relation is the
-    local annihilator, and the lcm over all basis vectors annihilates every
-    vector, hence A.  The roots of M's are those of A's over d.
+    v, Av, A^2 v, ... (A = d M, the integer matrix of ``_values``) is found
+    by exact elimination (deterministic first-nonzero pivoting); the relation
+    is the local annihilator, and the lcm over all basis vectors annihilates
+    every vector, hence A.  The roots of M's are those of A's over d.
     """
     field = m.field
     p, (a, d) = _values(m)

@@ -6,8 +6,8 @@ or quadratic-extension scalars), derivative, composition, and exact division.
 
 Factorization is complete for both supported ground fields:
 
-* over Q: take the squarefree part, which is f itself with no gcd over Q
-  once p = SQUAREFREE_PRIME divides not the leading coefficient of f's
+* over Q: take the squarefree part, which is f itself, with no gcd over Q,
+  when p = SQUAREFREE_PRIME does not divide the leading coefficient of f's
   primitive integer form and gcd(f mod p, f' mod p) = 1 (von zur Gathen &
   Gerhard, Modern Computer Algebra, ch. 14); clear denominators, pull the
   rational roots by lifting the roots modulo a small prime p-adically (no
