@@ -384,29 +384,31 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
     for j in range(m.n):
         if acc.degree == m.n:
             break
-        local = Polynomial(field, _local_annihilator(a, j, p))
+        local = Polynomial(field, _local_annihilator(a, j, p, field.one if p is None else 1))
         acc = poly_lcm(acc, local.monic())
     if d == 1:
         return acc
     return Polynomial(field, [c / d ** (acc.degree - k) for k, c in enumerate(acc.coeffs)])
 
 
-def _local_annihilator(a, j: int, p) -> list:
-    """Int coefficients, constant first, of a least-degree g with g(A) e_j = 0,
-    for the matrix A with rows a: on residues, each value read reduced mod p,
-    when p is nonzero; else fraction-free by Bareiss's exact division, so
-    that every value is a minor of the matrix with rows (A^t e_j, e_t)."""
-    # each stored row: (pivot index, reduced vector, combination over Krylov powers)
-    basis: list[tuple[int, list, list]] = []
-    current = [int(i == j) for i in range(len(a))]
+def _local_annihilator(a, j: int, p, one=1) -> list:
+    """Coefficients, constant first, of a least-degree g with g(A) e_j = 0, A
+    with rows a, one the unit of its values.  On residues (p > 0) each value
+    is read reduced mod p; on elements (p None) each stored row is scaled to
+    pivot 1 by field division; over Q (p = 0) the ints stay fraction-free by
+    Bareiss's exact division: every value is a minor of rows (A^t e_j, e_t)."""
+    # each stored row: (pivot index, pivot value, reduced vector, combination over Krylov powers)
+    basis: list[tuple[int, int, list, list]] = []
+    current = [one if i == j else 0 for i in range(len(a))]
     while True:
         red, red_combo, prev = current, [0] * len(basis) + [1], 1
-        for pivot, bvec, bcombo in basis:
-            s, c = bvec[pivot], (red[pivot] % p if p else red[pivot])  # s is 1 over F_p
+        for pivot, s, bvec, bcombo in basis:  # s is 1 unless over Q
+            c = red[pivot] % p if p else red[pivot]
             if c or s != prev:
-                red = [(s * x - c * y) // prev for x, y in zip(red, bvec)]
-                red_combo = [(s * x - c * y) // prev
-                             for x, y in zip_longest(red_combo, bcombo, fillvalue=0)]
+                red = [s * x - c * y for x, y in zip(red, bvec)]
+                red_combo = [s * x - c * y for x, y in zip_longest(red_combo, bcombo, fillvalue=0)]
+                if prev != 1:
+                    red, red_combo = [x // prev for x in red], [x // prev for x in red_combo]
             prev = s
         if p:  # reduced, with the first nonzero residue scaled to 1
             inv = pow(next((x % p for x in red if x % p), 1), -1, p)
@@ -414,7 +416,10 @@ def _local_annihilator(a, j: int, p) -> list:
         pivot = next((i for i, x in enumerate(red) if x), None)
         if pivot is None:
             return red_combo
-        basis.append((pivot, red, red_combo))
+        if p is None:
+            inv = one / red[pivot]
+            red, red_combo = [inv * x for x in red], [inv * x for x in red_combo]
+        basis.append((pivot, red[pivot] if p == 0 else 1, red, red_combo))
         current = [_dot(row, current) for row in a]
         if p:
             current = [x % p for x in current]

@@ -253,6 +253,19 @@ def test_check_minpoly_and_factor(tmp_path, capsys):
     assert code == 0 and verdict["result"]["passed"] is True
 
 
+def test_minpoly_of_quadratic_entries_and_its_check(tmp_path, capsys):
+    r2 = {"a": "0", "b": "1", "d": "2"}
+    for entries, coeffs in (([["0", r2], [r2, "0"]], ["-2", "0", "1"]),
+                            ([["0", "0"], [r2, "0"]], ["0", "0", "1"]),
+                            ([["1/2", r2], [r2, "1/2"]], ["-7/4", "-1", "1"])):
+        mpath = write_doc(tmp_path, "m.json", mat_doc(entries))
+        code, doc = run_json(capsys, ["minpoly", mpath])
+        assert code == 0 and doc["result"]["coeffs"] == coeffs
+        rpath = write_doc(tmp_path, "r.json", doc)
+        code, verdict = run_json(capsys, ["check", mpath, rpath])
+        assert code == 0 and verdict["result"]["passed"] is True
+
+
 def test_check_fine_and_normalize(tmp_path, capsys):
     path = write_doc(tmp_path, "m.json", mat_doc(WORKED))
     for cmd in ("fine", "normalize"):

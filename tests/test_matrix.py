@@ -318,6 +318,32 @@ def test_quadratic_entries_take_the_element_path(data):
     assert eval_poly_at_matrix(f, a).rows == oracle
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([[0, "r"], ["r", 0]], [-3, 0, 1]),
+        ([[0, 0], ["r", 0]], [0, 0, 1]),
+        ([[0, "r"], ["r", Fraction(1, 3)]], [-3, Fraction(-1, 3), 1]),
+        ([[Fraction(1, 2), "r"], ["r", Fraction(1, 2)]], [Fraction(-11, 4), -1, 1]),
+        ([[Fraction(1, 2), "r", 0], ["r", Fraction(1, 2), 0], [0, 0, Fraction(1, 2)]],
+         [Fraction(11, 8), Fraction(-9, 4), Fraction(-3, 2), 1]),
+    ],
+)
+def test_quadratic_entries_minimal_polynomial(field, rows, expected):
+    """Minimal polynomials over the ground of matrices with sqrt(3) entries,
+    3 a non-residue mod 7: the Krylov elimination runs on the elements."""
+    def ground(x):
+        x = Fraction(x)
+        return field.from_int(x.numerator) / field.from_int(x.denominator)
+
+    r = quad_element(field, 0, 1, 3)
+    m = Matrix(field, [[r if e == "r" else ground(e) for e in row] for row in rows])
+    got = list(minimal_polynomial(m).coeffs)
+    assert got == [ground(c) for c in expected]
+    assert got == oracles.oracle_minimal_polynomial(field, m.rows)
+
+
 # ---------------------------------------------------------------------------
 # kernels over Q (integer numerators over a common denominator)
 # ---------------------------------------------------------------------------
