@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import inspect
 import json
 import random
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import finefrob.cli
+from finefrob import frobenius, jordan_chevalley, jsonio, matrix, poly, scalar, series
 from finefrob.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -554,10 +556,22 @@ def test_unknown_series_exits_1(tmp_path, capsys):
     assert code == 1
 
 
-def test_bad_seed_exits_1(tmp_path, capsys):
+def test_seed_flag_exits_1(tmp_path, capsys):
+    """No answer depends on a seed, so neither a command nor check takes one."""
     path = write_doc(tmp_path, "m.json", mat_doc(WORKED))
-    code, doc = run_json(capsys, ["minpoly", path, "--seed", "-1"])
-    assert code == 1
+    code, doc = run_json(capsys, ["minpoly", path])
+    result = write_doc(tmp_path, "r.json", doc)
+    for argv in (["minpoly", path, "--seed", "0"], ["check", path, result, "--seed", "0"]):
+        code, doc = run_json(capsys, argv)
+        assert (code, doc["error"]["code"]) == (1, "SchemaMismatch")
+
+
+def test_no_public_callable_takes_a_seed():
+    for module in (scalar, poly, matrix, jordan_chevalley, frobenius, series, jsonio):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if callable(obj):
+                assert "seed" not in inspect.signature(obj).parameters, name
 
 
 def test_custom_series_without_radius_exits_1(tmp_path, capsys):

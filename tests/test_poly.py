@@ -33,7 +33,7 @@ from finefrob.errors import (
     Reducible,
     ZeroPolynomial,
 )
-from finefrob.poly import SQUAREFREE_PRIME, _clear_denominators, _rational_roots
+from finefrob.poly import SQUAREFREE_PRIME, _clear_denominators, _factor_fp, _rational_roots
 from finefrob.scalar import is_probable_prime
 
 # a 126-bit semiprime: listing the divisors of a constant term like it means factoring it
@@ -436,11 +436,21 @@ def test_factor_fp_random_round_trip():
                 assert refact.factors == ((g, 1),)
 
 
-def test_factor_is_deterministic_for_fixed_seed():
-    f = fp(5, 0, 4, 0, 0, 0, 1)
-    assert factor(f, seed=3) == factor(f, seed=3)
-    # different seeds must still give the same canonical, sorted answer
-    assert factor(f, seed=1) == factor(f, seed=2)
+def test_factor_fp_answer_is_independent_of_the_generator():
+    """Equal-degree splitting is Las Vegas: whatever generator ``_factor_fp``
+    draws its splits from, it returns the factors ``factor`` returns.  Each
+    polynomial is g1 g2^2 g3^3 with random monic g_i, so factors repeat, and
+    over F_3 the cube takes the p-th root descent."""
+    for p in (3, 5, 7, 1009):
+        rng = random.Random(p)
+        for _ in range(6):
+            f = fp(p, 1)
+            for e in (1, 2, 3):
+                g = fp(p, *(rng.randrange(p) for _ in range(rng.randint(1, 3))), 1)
+                f = f * g**e
+            expected = dict(factor(f).factors)
+            for k in range(5):
+                assert _factor_fp(f, random.Random(k)) == expected
 
 
 # ---------------------------------------------------------------------------
