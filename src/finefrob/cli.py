@@ -6,8 +6,8 @@ single canonical JSON document {"command", "input_hash", "result"(, "report")}
 to standard output.  Exit codes: 0 success, 1 malformed input, 2 precondition
 violation; failures print {"error": {"code", "message"}} where ``code`` is the
 library error class name; ``check`` exits 0 whenever it reaches a verdict,
-``"passed": false`` included.  Identical inputs and seed produce
-byte-identical output.
+``"passed": false`` included.  Identical inputs give byte-identical output:
+the random draws of ``poly.factor`` never change an answer.
 """
 
 from __future__ import annotations
@@ -95,9 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--terms", type=int, default=None, help="series cutoff override"
             )
-        cmd.add_argument(
-            "--seed", type=int, default=0, help="seed for randomized factor steps"
-        )
         return cmd
 
     add("minpoly", "minimal polynomial of a matrix")
@@ -111,16 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     check_cmd = sub.add_parser("check", help="re-verify a result document")
     check_cmd.add_argument("input", help="original input JSON file")
     check_cmd.add_argument("result", help="result document to verify")
-    check_cmd.add_argument("--seed", type=int, default=0)
     return parser
 
 
 _PARSER = build_parser()
-
-
-def _validate_seed(seed: int):
-    if not 0 <= seed < 2**64:
-        raise SchemaMismatch(f"seed must fit in 64 bits, got {seed}")
 
 
 def _parse_fn(text: str) -> SeriesSpec:
@@ -149,7 +140,6 @@ def _parse_abs(text: str) -> AbsValue:
 # ---------------------------------------------------------------------------
 
 def _run(args) -> dict:
-    _validate_seed(args.seed)
     if args.command == "check":
         return _run_check(args)
     doc = jsonio.load_document(args.input)
@@ -158,21 +148,15 @@ def _run(args) -> dict:
         result = jsonio.poly_to_json(minimal_polynomial(jsonio.matrix_from_json(doc)))
     elif args.command == "factor":
         f = jsonio.poly_from_json(doc)
-        result = jsonio.factorization_to_json(f.field, factor(f, args.seed))
+        result = jsonio.factorization_to_json(f.field, factor(f))
     elif args.command == "jc":
-        result = jsonio.additive_jc_to_json(
-            jc_decompose_newton(jsonio.matrix_from_json(doc), args.seed)
-        )
+        result = jsonio.additive_jc_to_json(jc_decompose_newton(jsonio.matrix_from_json(doc)))
     elif args.command == "cjc":
-        result = jsonio.complete_jc_to_json(
-            complete_jc(jsonio.matrix_from_json(doc), args.seed)
-        )
+        result = jsonio.complete_jc_to_json(complete_jc(jsonio.matrix_from_json(doc)))
     elif args.command == "fine":
-        result = jsonio.fine_to_json(fine_frobenius(jsonio.matrix_from_json(doc), args.seed))
+        result = jsonio.fine_to_json(fine_frobenius(jsonio.matrix_from_json(doc)))
     elif args.command == "normalize":
-        result = jsonio.normalized_to_json(
-            normalize(fine_frobenius(jsonio.matrix_from_json(doc), args.seed))
-        )
+        result = jsonio.normalized_to_json(normalize(fine_frobenius(jsonio.matrix_from_json(doc))))
     elif args.command == "apply":
         result = _run_apply(doc, args)
     elif args.command == "domain":
@@ -194,7 +178,7 @@ def _run_apply(doc, args) -> dict:
     m = jsonio.matrix_from_json(doc)
     spec = _parse_fn(args.fn)
     av = _parse_abs(args.abs)
-    res = apply_series(m, spec, av, precision=args.prec, terms=args.terms, seed=args.seed)
+    res = apply_series(m, spec, av, precision=args.prec, terms=args.terms)
     if av.kind == "arch":
         return jsonio.arch_result_to_json(res, spec)
     return jsonio.padic_result_to_json(res, spec)
@@ -204,7 +188,7 @@ def _run_domain(doc, args) -> dict:
     m = jsonio.matrix_from_json(doc)
     spec = _parse_fn(args.fn)
     av = _parse_abs(args.abs)
-    member, data = domain_data(m, spec, av, args.seed)
+    member, data = domain_data(m, spec, av)
     return jsonio.domain_to_json(member, radius_of_convergence(spec, av), data)
 
 
@@ -231,7 +215,7 @@ def _run_check(args) -> dict:
     }
     if command not in handlers:
         raise SchemaMismatch(f"cannot verify a {command!r} document")
-    report = handlers[command](input_doc, result, args.seed)
+    report = handlers[command](input_doc, result)
     passed = all(bool(v) for k, v in report.items() if isinstance(v, bool))
     digest = jsonio.input_hash(input_doc, result_doc)
     return {
@@ -275,7 +259,7 @@ def _cli_str(value) -> str:
     return value
 
 
-def _check_minpoly(input_doc, result, seed) -> dict:
+def _check_minpoly(input_doc, result) -> dict:
     m = jsonio.matrix_from_json(input_doc)
     f = jsonio.poly_from_json(result)
     recomputed = minimal_polynomial(m)
@@ -286,7 +270,7 @@ def _check_minpoly(input_doc, result, seed) -> dict:
     }
 
 
-def _check_factor(input_doc, result, seed) -> dict:
+def _check_factor(input_doc, result) -> dict:
     f = jsonio.poly_from_json(input_doc)
     field = f.field
     _need(result, "unit", "factors", what="factorization document")
@@ -313,7 +297,7 @@ def _check_factor(input_doc, result, seed) -> dict:
     }
 
 
-def _check_jc(input_doc, result, seed) -> dict:
+def _check_jc(input_doc, result) -> dict:
     m = jsonio.matrix_from_json(input_doc)
     _need(result, "S", "N", what="jc document")
     s = jsonio.matrix_from_json(result["S"])
@@ -328,7 +312,7 @@ def _check_jc(input_doc, result, seed) -> dict:
     }
 
 
-def _check_cjc(input_doc, result, seed) -> dict:
+def _check_cjc(input_doc, result) -> dict:
     m = jsonio.matrix_from_json(input_doc)
     _need(result, "H", "V", "N", what="cjc document")
     h = jsonio.matrix_from_json(result["H"])
@@ -340,7 +324,7 @@ def _check_cjc(input_doc, result, seed) -> dict:
     return dict(verify_complete_jc(m, dec).checks)
 
 
-def _check_fine(input_doc, result, seed) -> dict:
+def _check_fine(input_doc, result) -> dict:
     m = jsonio.matrix_from_json(input_doc)
     dec = jsonio.fine_from_json(result)
     _same_shape(m, dec.kernel_projector)
@@ -359,7 +343,7 @@ def _check_fine(input_doc, result, seed) -> dict:
     return clauses
 
 
-def _check_normalize(input_doc, result, seed) -> dict:
+def _check_normalize(input_doc, result) -> dict:
     m = jsonio.matrix_from_json(input_doc)
     field = m.field
     _need(result, "A0", "linear", "quadratic", what="normalize document")
@@ -401,14 +385,14 @@ def _check_normalize(input_doc, result, seed) -> dict:
     }
 
 
-def _check_apply(input_doc, result, seed) -> dict:
+def _check_apply(input_doc, result) -> dict:
     m = jsonio.matrix_from_json(input_doc)
     _need(result, "kind", "series", "entries", what="apply document")
     spec = jsonio.series_from_descriptor(result["series"])
     if result["kind"] == "arch":
         return _check_apply_arch(m, result, spec)
     if result["kind"] == "padic":
-        return _check_apply_padic(m, result, spec, seed)
+        return _check_apply_padic(m, result, spec)
     raise SchemaMismatch(f"unknown apply kind {result['kind']!r}")
 
 
@@ -434,7 +418,7 @@ def _check_apply_arch(m: Matrix, result, spec: SeriesSpec) -> dict:
         }
 
 
-def _check_apply_padic(m: Matrix, result, spec: SeriesSpec, seed) -> dict:
+def _check_apply_padic(m: Matrix, result, spec: SeriesSpec) -> dict:
     _need(result, "p", "terms", "valuation_bound", what="p-adic apply document")
     p = result["p"]
     terms = result["terms"]
@@ -444,7 +428,7 @@ def _check_apply_padic(m: Matrix, result, spec: SeriesSpec, seed) -> dict:
     av = AbsValue.padic(p)
     # apply goes past TERMS_CAP only by the automatic cutoff at some --prec up
     # to PRECISION_CAP, the least that certifies it: one term fewer does not
-    if terms > TERMS_CAP and padic_truncation_bound(m, spec, p, terms - 1, seed) >= PRECISION_CAP:
+    if terms > TERMS_CAP and padic_truncation_bound(m, spec, p, terms - 1) >= PRECISION_CAP:
         raise CapExceeded(f"terms {terms} exceed the cutoff at precision {PRECISION_CAP}")
     stated = result["valuation_bound"]
     bound = math.inf if stated == "inf" else stated
@@ -454,7 +438,7 @@ def _check_apply_padic(m: Matrix, result, spec: SeriesSpec, seed) -> dict:
     # with terms 0 the doubled run searches a cutoff for twice the bound, which
     # apply states as certified at 0 terms: a higher one is forged, and its
     # search could run far past any cap
-    if not terms and bound > padic_truncation_bound(m, spec, p, 0, seed):
+    if not terms and bound > padic_truncation_bound(m, spec, p, 0):
         return {"doubled_cutoff_within_bound": False}
     doubled = apply_series(
         m,
@@ -462,7 +446,6 @@ def _check_apply_padic(m: Matrix, result, spec: SeriesSpec, seed) -> dict:
         av,
         precision=2 * (bound if bound != math.inf else 1),
         terms=2 * terms if terms else None,
-        seed=seed,
     )
     diff = doubled.values - claimed
     ok = True
@@ -473,7 +456,7 @@ def _check_apply_padic(m: Matrix, result, spec: SeriesSpec, seed) -> dict:
     return {"doubled_cutoff_within_bound": ok}
 
 
-def _check_domain(input_doc, result, seed) -> dict:
+def _check_domain(input_doc, result) -> dict:
     if not isinstance(result, dict) or "in_omega_hat" not in result:
         raise SchemaMismatch("domain document lacks the verdict")
     return {"verdict_is_boolean": isinstance(result["in_omega_hat"], bool)}

@@ -129,7 +129,7 @@ def spectral_components(spectral: Spectrum) -> list[tuple]:
     ]
 
 
-def fine_frobenius(m: Matrix, seed: int = 0) -> FineFrobenius:
+def fine_frobenius(m: Matrix) -> FineFrobenius:
     """Compute all Frobenius covariants of M (see module docstring)."""
     field = m.field
     if field.characteristic == 2:  # pragma: no cover - no such field exists here
@@ -138,7 +138,7 @@ def fine_frobenius(m: Matrix, seed: int = 0) -> FineFrobenius:
         raise FieldMismatch("fine decomposition input must have ground-field entries")
     if m.is_zero:
         raise ZeroMatrix("the zero matrix has no fine decomposition")
-    return fine_from_spectrum(m, spectrum(m, seed))
+    return fine_from_spectrum(m, spectrum(m))
 
 
 def fine_from_spectrum(m: Matrix, spectral: Spectrum) -> FineFrobenius:

@@ -106,7 +106,7 @@ def _check_k_regular(spectral: Spectrum):
         )
 
 
-def jc_decompose_newton(m: Matrix, seed: int = 0) -> AdditiveJC:
+def jc_decompose_newton(m: Matrix) -> AdditiveJC:
     """Additive Jordan-Chevalley decomposition via Newton iteration.
 
     Iterates x <- x - q(x) * q'(x)^{-1} in K[X]/(minimal polynomial), where q
@@ -118,7 +118,7 @@ def jc_decompose_newton(m: Matrix, seed: int = 0) -> AdditiveJC:
     if m.field.characteristic == 0:
         mpoly = minimal_polynomial(m)
         return _newton(m, mpoly, squarefree_part(mpoly))
-    spectral = spectrum(m, seed)
+    spectral = spectrum(m)
     _check_k_regular(spectral)
     return _newton(m, spectral.minpoly, spectral.factorization.radical(m.field))
 
@@ -202,11 +202,11 @@ def _semisimple_from_projectors(
     return acc
 
 
-def complete_jc(m: Matrix, seed: int = 0) -> CompleteJC:
+def complete_jc(m: Matrix) -> CompleteJC:
     """Complete additive decomposition M = H + V + N over the ground field."""
     field = m.field
     try:
-        spectral = spectrum(m, seed)
+        spectral = spectrum(m)
     except DegreeTooLarge as exc:
         raise FactorizationFailed(str(exc)) from exc
     _check_k_regular(spectral)

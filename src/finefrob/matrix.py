@@ -20,7 +20,7 @@ elements.
 
 ``Spectrum`` is the spectral data every decomposition reads: the minimal
 polynomial together with its factorization into monic irreducibles, built
-once per matrix by ``spectrum(m, seed)`` and passed on instead of being
+once per matrix by ``spectrum(m)`` and passed on instead of being
 recomputed.  It also answers K-regularity (``irregular_degree``).
 """
 
@@ -446,21 +446,21 @@ class Spectrum:
         return None
 
 
-def spectrum(m: Matrix, seed: int = 0) -> Spectrum:
+def spectrum(m: Matrix) -> Spectrum:
     """M's minimal polynomial and its factorization, each computed once."""
     mpoly = minimal_polynomial(m)
-    return Spectrum(mpoly, factor(mpoly, seed))
+    return Spectrum(mpoly, factor(mpoly))
 
 
 # ---------------------------------------------------------------------------
 # predicates
 # ---------------------------------------------------------------------------
 
-def is_k_regular_matrix(m: Matrix, seed: int = 0) -> bool:
+def is_k_regular_matrix(m: Matrix) -> bool:
     """No irreducible factor degree of the minimal polynomial divisible by char."""
     if m.field.characteristic == 0:
         return True
-    return spectrum(m, seed).irregular_degree is None
+    return spectrum(m).irregular_degree is None
 
 
 def is_semisimple(m: Matrix) -> bool:
@@ -484,5 +484,5 @@ def is_nilpotent(m: Matrix) -> bool:
     return (m ** m.n).is_zero
 
 
-def splitting_bound_of_matrix(m: Matrix, seed: int = 0) -> int:
-    return spectrum(m, seed).factorization.max_degree
+def splitting_bound_of_matrix(m: Matrix) -> int:
+    return spectrum(m).factorization.max_degree

@@ -368,8 +368,13 @@ class Factorization:
         return max((poly.degree for poly, _ in self.factors), default=0)
 
 
-def factor(f: Polynomial, seed: int = 0) -> Factorization:
-    """Complete factorization into monic irreducibles, canonically ordered."""
+def factor(f: Polynomial) -> Factorization:
+    """Complete factorization into monic irreducibles, canonically ordered.
+
+    Over F_p, equal-degree splitting draws from ``random.Random(0)``.  It is
+    Las Vegas (von zur Gathen & Gerhard, ch. 14): the draws set the running
+    time, never the factors, which are returned sorted.
+    """
     if f.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if f.degree > FACTOR_DEGREE_CAP:
@@ -383,7 +388,7 @@ def factor(f: Polynomial, seed: int = 0) -> Factorization:
     if f.field.characteristic == 0:
         pairs = _factor_q(monic_f)
     else:
-        pairs = _factor_fp(monic_f, random.Random(seed))
+        pairs = _factor_fp(monic_f, random.Random(0))
     ordered = tuple(sorted(pairs.items(), key=lambda kv: kv[0].sort_key()))
     return Factorization(unit, ordered)
 
@@ -710,7 +715,7 @@ def _equal_degree_split(g: Polynomial, d: int, rng: random.Random) -> list[Polyn
 # squarefree part and factor-level operations
 # ---------------------------------------------------------------------------
 
-def squarefree_part(f: Polynomial, seed: int = 0) -> Polynomial:
+def squarefree_part(f: Polynomial) -> Polynomial:
     """Monic product of the distinct irreducible factors of f.
 
     In characteristic 0 this is f when f mod SQUAREFREE_PRIME certifies it
@@ -727,7 +732,7 @@ def squarefree_part(f: Polynomial, seed: int = 0) -> Polynomial:
         if _squarefree_mod(_clear_denominators(f), SQUAREFREE_PRIME) is not None:
             return f.monic()
         return (f // poly_gcd(f, f.derivative())).monic()
-    return factor(f, seed).radical(f.field)
+    return factor(f).radical(f.field)
 
 
 def reduced_form(f: Polynomial) -> Polynomial:
@@ -742,13 +747,13 @@ def reduced_form(f: Polynomial) -> Polynomial:
     return f.monic().compose(Polynomial(f.field, [shift, f.field.one]))
 
 
-def splitting_bound(f: Polynomial, seed: int = 0) -> int:
+def splitting_bound(f: Polynomial) -> int:
     """Largest degree among the irreducible factors of f."""
     if f.is_zero:
         raise ZeroPolynomial("zero polynomial has no splitting bound")
     if f.degree < 1:
         raise ConstantPolynomial("constants have no splitting bound")
-    return factor(f, seed).max_degree
+    return factor(f).max_degree
 
 
 def k_projection_of_factor(f: Polynomial):

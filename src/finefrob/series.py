@@ -194,11 +194,11 @@ def _arch_radius(spec: SeriesSpec):
 # eigenvalue data and membership
 # ---------------------------------------------------------------------------
 
-def _components(m: Matrix, seed: int):
+def _components(m: Matrix):
     """``spectral_components`` of M, which must be over Q."""
     if m.field.characteristic != 0:
         raise FieldMismatch("valued-field analysis is defined over Q")
-    return spectral_components(spectrum(m, seed))
+    return spectral_components(spectrum(m))
 
 
 @dataclass(frozen=True)
@@ -214,10 +214,10 @@ class EigenAbs:
     abs_beta: float
 
 
-def eigen_abs_data(m: Matrix, av: AbsValue, seed: int = 0) -> list[EigenAbs]:
+def eigen_abs_data(m: Matrix, av: AbsValue) -> list[EigenAbs]:
     """Per-factor absolute-value triples under the archimedean or p-adic value."""
     _require_valued(av)
-    return _eigen_abs(_components(m, seed), av)
+    return _eigen_abs(_components(m), av)
 
 
 def _require_valued(av: AbsValue):
@@ -311,16 +311,14 @@ def _member(components, spec: SeriesSpec, av: AbsValue) -> bool:
     return all(_padic_member(alpha, n, spec, av.p) for alpha, n in components)
 
 
-def in_omega_hat(m: Matrix, spec: SeriesSpec, av: AbsValue, seed: int = 0) -> bool:
+def in_omega_hat(m: Matrix, spec: SeriesSpec, av: AbsValue) -> bool:
     """Exact membership of M's eigenvalue data in the convergence domain."""
-    return _member(_components(m, seed), spec, av)
+    return _member(_components(m), spec, av)
 
 
-def domain_data(
-    m: Matrix, spec: SeriesSpec, av: AbsValue, seed: int = 0
-) -> tuple[bool, list[EigenAbs]]:
+def domain_data(m: Matrix, spec: SeriesSpec, av: AbsValue) -> tuple[bool, list[EigenAbs]]:
     """(in_omega_hat, eigen_abs_data) of M from one spectrum of M."""
-    components = _components(m, seed)
+    components = _components(m)
     member = _member(components, spec, av)
     _require_valued(av)
     return member, _eigen_abs(components, av)
@@ -597,7 +595,7 @@ def _embed_with_bounds(
     return ArchSeriesMatrix(values, bounds, precision, terms)
 
 
-def _image_parts(m: Matrix, spec: SeriesSpec, av: AbsValue, precision, terms, seed):
+def _image_parts(m: Matrix, spec: SeriesSpec, av: AbsValue, precision, terms):
     """The exact parts of f(M) that apply_series and complete_jc_of_image report.
 
     Returns (h, v, h_tails, v_tails, valuation_bound, terms): the horizontal
@@ -612,7 +610,7 @@ def _image_parts(m: Matrix, spec: SeriesSpec, av: AbsValue, precision, terms, se
         a0 = spec.coefficient(0)
         zero = Matrix.zeros(QQ, m.n)
         return Matrix.identity(QQ, m.n).scale(a0), zero, [], [], math.inf, 0
-    spectral = spectrum(m, seed)
+    spectral = spectrum(m)
     components = spectral_components(spectral)
     if not _member(components, spec, av):
         raise NotInOmegaHat("eigenvalue data leaves the convergence domain")
@@ -642,7 +640,6 @@ def apply_series(
     av: AbsValue,
     precision: int = 128,
     terms: int | None = None,
-    seed: int = 0,
 ):
     """f(M) through the fine covariants; backend chosen by the absolute value.
 
@@ -651,9 +648,7 @@ def apply_series(
     valuation bound; ``precision`` is the requested bound).  The zero matrix
     is handled directly as a_0 * identity.
     """
-    h, v, h_tails, v_tails, bound, used = _image_parts(
-        m, spec, av, precision, terms, seed
-    )
+    h, v, h_tails, v_tails, bound, used = _image_parts(m, spec, av, precision, terms)
     return _image_result(h + v, h_tails + v_tails, av, precision, bound, used)
 
 
@@ -729,17 +724,15 @@ def _padic_cutoff(dec: FineFrobenius, spec: SeriesSpec, p: int, target, terms):
     return terms, bound
 
 
-def padic_truncation_bound(m: Matrix, spec: SeriesSpec, p: int, terms: int, seed: int = 0):
+def padic_truncation_bound(m: Matrix, spec: SeriesSpec, p: int, terms: int):
     """The valuation bound apply_series certifies for f(M) cut off after ``terms``."""
     _require_rational_matrix(m)
-    return _padic_cutoff(fine_from_spectrum(m, spectrum(m, seed)), spec, p, None, terms)[1]
+    return _padic_cutoff(fine_from_spectrum(m, spectrum(m)), spec, p, None, terms)[1]
 
 
 # -- closed forms ------------------------------------------------------------
 
-def apply_named_closed_form(
-    m: Matrix, name: str, precision: int = 128, seed: int = 0
-) -> ArchSeriesMatrix:
+def apply_named_closed_form(m: Matrix, name: str, precision: int = 128) -> ArchSeriesMatrix:
     """exp or cos through the normalized covariants and scalar closed forms.
 
     exp(lam) has real/imaginary parts e^Re cos(Im), e^Re sin(Im); cos(lam)
@@ -758,7 +751,7 @@ def apply_named_closed_form(
             for i in range(dim):
                 values[i, i] = mpmath.mpf(1)  # exp(0) = cos(0) = 1
         else:
-            norm_dec = normalize(fine_frobenius(m, seed))
+            norm_dec = normalize(fine_frobenius(m))
             values = mpmath.matrix(dim, dim)
             # (Re, Im, P, unit vertical); P = -Bn^2, and Im = 0 on A0 and each A_i
             parts = _ground_covariants(norm_dec) + [
@@ -800,16 +793,13 @@ def complete_jc_of_image(
     av: AbsValue,
     precision: int = 128,
     terms: int | None = None,
-    seed: int = 0,
 ):
     """(Hf, Vf): the horizontal/vertical split of f(M) in the completion.
 
     Hf collects f(gamma_i) A_i and the even sums on P_j; Vf collects the odd
     sums on B_j.  Hf + Vf equals the apply_series result.
     """
-    h, v, h_tails, v_tails, bound, used = _image_parts(
-        m, spec, av, precision, terms, seed
-    )
+    h, v, h_tails, v_tails, bound, used = _image_parts(m, spec, av, precision, terms)
     return (
         _image_result(h, h_tails, av, precision, bound, used),
         _image_result(v, v_tails, av, precision, bound, used),

@@ -48,9 +48,6 @@ EXTRA = (
     ("factor-q", ["factor", "q_poly"]),
     ("factor-f3", ["factor", "f3_poly"]),
     ("factor-f7", ["factor", "f7_poly"]),
-    ("factor-f7-seed5", ["factor", "f7_poly", "--seed", "5"]),
-    ("jc-f3_repeated-seed5", ["jc", "f3_repeated", "--seed", "5"]),
-    ("cjc-f3_repeated-seed5", ["cjc", "f3_repeated", "--seed", "5"]),
     ("apply-cos-arch-prec80-q_worked", ["apply", "q_worked", "--fn", "cos", "--abs", "arch", "--prec", "80"]),
     ("apply-sinh-arch-terms30-q_worked", ["apply", "q_worked", "--fn", "sinh", "--abs", "arch", "--terms", "30"]),
     ("apply-cosh-padic3-terms9-q_semisimple", ["apply", "q_semisimple", "--fn", "cosh", "--abs", "padic:3", "--terms", "9"]),
