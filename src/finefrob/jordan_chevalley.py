@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .errors import (
     DegreeTooLarge,
     FactorizationFailed,
+    FieldMismatch,
     NoModularInverse,
     NotKRegular,
 )
@@ -205,6 +206,8 @@ def _semisimple_from_projectors(
 def complete_jc(m: Matrix) -> CompleteJC:
     """Complete additive decomposition M = H + V + N over the ground field."""
     field = m.field
+    if m.radical is not None:
+        raise FieldMismatch("complete decomposition input must have ground-field entries")
     try:
         spectral = spectrum(m)
     except DegreeTooLarge as exc:
@@ -238,7 +241,8 @@ def complete_jc(m: Matrix) -> CompleteJC:
 
 
 def verify_complete_jc(m: Matrix, dec: CompleteJC) -> VerificationReport:
-    """Exact re-check of every defining clause; failures are report entries."""
+    """Exact re-check of every defining clause; failures are report entries, as is
+    a part whose minimal polynomial is past the degree cap or off the ground field."""
     h, v, n = dec.horizontal, dec.vertical, dec.nilpotent
     checks = []
     checks.append(("sum_reconstructs", h + v + n == m))
@@ -261,7 +265,7 @@ def _splits_linear_squarefree(h: Matrix) -> bool:
     """Minimal polynomial is a product of distinct linear factors."""
     try:
         fact = factor(minimal_polynomial(h))
-    except DegreeTooLarge:
+    except (DegreeTooLarge, FieldMismatch):
         return False
     return all(p.degree == 1 and mult == 1 for p, mult in fact.factors)
 
@@ -270,7 +274,7 @@ def _vertical_semisimple(v: Matrix) -> bool:
     """Minimal polynomial squarefree with every factor equal to its reduced form."""
     try:
         fact = factor(minimal_polynomial(v))
-    except DegreeTooLarge:
+    except (DegreeTooLarge, FieldMismatch):
         return False
     for p, mult in fact.factors:
         if mult != 1:

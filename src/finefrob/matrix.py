@@ -376,7 +376,8 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
     v, Av, A^2 v, ... (A = d M, the integer matrix of ``_values``) is found
     by exact elimination (deterministic first-nonzero pivoting); the relation
     is the local annihilator, and the lcm over all basis vectors annihilates
-    every vector, hence A.  The roots of M's are those of A's over d.
+    every vector, hence A.  The roots of M's are those of A's over d.  A
+    relation off the ground field (X - sqrt2 for diag(1, sqrt2)) raises FieldMismatch.
     """
     field = m.field
     p, (a, d) = _values(m)
@@ -384,8 +385,10 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
     for j in range(m.n):
         if acc.degree == m.n:
             break
-        local = Polynomial(field, _local_annihilator(a, j, p, field.one if p is None else 1))
-        acc = poly_lcm(acc, local.monic())
+        local = _local_annihilator(a, j, p, field.one if p is None else 1)
+        if p is None and not all(map(field.is_ground, local)):
+            raise FieldMismatch("a Krylov relation has coefficients outside the ground field")
+        acc = poly_lcm(acc, Polynomial(field, local).monic())
     if d == 1:
         return acc
     return Polynomial(field, [c / d ** (acc.degree - k) for k, c in enumerate(acc.coeffs)])

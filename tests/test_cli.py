@@ -268,6 +268,71 @@ def test_minpoly_of_quadratic_entries_and_its_check(tmp_path, capsys):
         assert code == 0 and verdict["result"]["passed"] is True
 
 
+R2 = {"a": "0", "b": "1", "d": "2"}
+MINUS_R2 = {"a": "0", "b": "-1", "d": "2"}
+R3 = {"a": "0", "b": "1", "d": "3"}
+
+
+@pytest.mark.parametrize(
+    "command, entries",
+    [
+        ("minpoly", [[R2, "1"], ["0", R2]]),
+        ("jc", [[R2, "1"], ["0", R2]]),
+        ("cjc", [[R2, "1"], ["0", R2]]),
+        ("minpoly", [["1/2", "0"], ["0", R2]]),
+    ],
+)
+def test_minpoly_outside_the_ground_field_exits_2(tmp_path, capsys, command, entries):
+    """Over Q(sqrt2) these minimal polynomials are (X - sqrt2)^2 and
+    (X - 1/2)(X - sqrt2), which no polynomial over Q equals."""
+    path = write_doc(tmp_path, "m.json", mat_doc(entries))
+    code, doc = run_json(capsys, [command, path])
+    assert (code, doc["error"]["code"]) == (2, "FieldMismatch")
+
+
+def test_cjc_refuses_quadratic_entries(tmp_path, capsys):
+    """M = [[0, sqrt3], [sqrt3, 0]] has H = 0, V = M over Q(sqrt3), which is
+    no split over Q; check of that split still answers false."""
+    m = [["0", R3], [R3, "0"]]
+    path = write_doc(tmp_path, "m.json", mat_doc(m))
+    code, doc = run_json(capsys, ["cjc", path])
+    assert (code, doc["error"]["code"]) == (2, "FieldMismatch")
+    zero = mat_doc([["0", "0"], ["0", "0"]])
+    forged = {"command": "cjc", "result": {"H": zero, "V": mat_doc(m), "N": zero}}
+    code, verdict = run_json(capsys, ["check", path, write_doc(tmp_path, "r.json", forged)])
+    assert code == 0 and verdict["result"]["passed"] is False
+    assert verdict["report"]["ground_field_entries"] is False
+
+
+def test_check_cjc_of_quadratic_parts_reaches_a_verdict(tmp_path, capsys):
+    """H = diag(sqrt2, 0), V = -H, N = 0 sum to the zero matrix; the minimal
+    polynomials of H and V are not over Q, so their clauses fail."""
+    zero = mat_doc([["0", "0"], ["0", "0"]])
+    path = write_doc(tmp_path, "m.json", zero)
+    forged = {"command": "cjc", "result": {
+        "H": mat_doc([[R2, "0"], ["0", "0"]]),
+        "V": mat_doc([[MINUS_R2, "0"], ["0", "0"]]),
+        "N": zero,
+    }}
+    code, verdict = run_json(capsys, ["check", path, write_doc(tmp_path, "r.json", forged)])
+    assert code == 0 and verdict["result"]["passed"] is False
+    failing = sorted(k for k, v in verdict["report"].items() if v is False)
+    assert failing == [
+        "ground_field_entries", "horizontal_diagonalizable", "vertical_semisimple_reduced"
+    ]
+
+
+def test_check_jc_of_quadratic_parts_exits_2(tmp_path, capsys):
+    zero = mat_doc([["0", "0"], ["0", "0"]])
+    path = write_doc(tmp_path, "m.json", zero)
+    forged = {"command": "jc", "result": {
+        "S": mat_doc([[R2, "0"], ["0", "0"]]),
+        "N": mat_doc([[MINUS_R2, "0"], ["0", "0"]]),
+    }}
+    code, doc = run_json(capsys, ["check", path, write_doc(tmp_path, "r.json", forged)])
+    assert (code, doc["error"]["code"]) == (2, "FieldMismatch")
+
+
 def test_check_fine_and_normalize(tmp_path, capsys):
     path = write_doc(tmp_path, "m.json", mat_doc(WORKED))
     for cmd in ("fine", "normalize"):
