@@ -224,41 +224,14 @@ class Matrix:
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:
-        rows = [list(r) for r in self.rows]
-        z = self.field.zero
-        rank = 0
-        col = 0
-        while col < self.n and rank < self.n:
-            pivot = next((r for r in range(rank, self.n) if rows[r][col] != z), None)
-            if pivot is None:
-                col += 1
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            inv = self.field.one / rows[rank][col]
-            rows[rank] = [inv * e for e in rows[rank]]
-            for r in range(self.n):
-                if r != rank and rows[r][col] != z:
-                    f = rows[r][col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-            col += 1
-        return rank
+        return _gauss_jordan([list(r) for r in self.rows], self.field)
 
     def inverse(self) -> "Matrix":
-        z = self.field.zero
+        """M^-1, the right half of [M | I] reduced by ``_gauss_jordan``."""
         rows = [list(r) + list(ident) for r, ident in
                 zip(self.rows, Matrix.identity(self.field, self.n).rows)]
-        for col in range(self.n):
-            pivot = next((r for r in range(col, self.n) if rows[r][col] != z), None)
-            if pivot is None:
-                raise NotInvertible("matrix is singular")
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            inv = self.field.one / rows[col][col]
-            rows[col] = [inv * e for e in rows[col]]
-            for r in range(self.n):
-                if r != col and rows[r][col] != z:
-                    f = rows[r][col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+        if _gauss_jordan(rows, self.field) < self.n:
+            raise NotInvertible("matrix is singular")
         return Matrix(self.field, [row[self.n :] for row in rows])
 
     # -- comparisons ---------------------------------------------------------
@@ -305,6 +278,25 @@ def _values(*ms):
         d = math.lcm(*(e.denominator for row in m.rows for e in row))
         out.append(([[e.numerator * (d // e.denominator) for e in row] for row in m.rows], d))
     return (0, *out)
+
+
+def _gauss_jordan(rows: list, field) -> int:
+    """Reduce n rows in place to reduced echelon form in their first n columns; the rank."""
+    n, z = len(rows), field.zero
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if rows[r][col] != z), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.one / rows[rank][col]
+        rows[rank] = [inv * e for e in rows[rank]]
+        for r in range(n):
+            if r != rank and rows[r][col] != z:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def _identity(n: int) -> list:

@@ -121,6 +121,32 @@ def test_inverse_round_trip_and_failure():
         singular.inverse()
 
 
+@pytest.mark.parametrize("radical", [None, 3], ids=["ground", "sqrt3"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_inverse_is_two_sided_and_agrees_with_rank(field, radical):
+    """Entries a + b sqrt3 with small a, b; 3 is a non-residue mod 7."""
+    rng = random.Random(23)
+
+    def entry():
+        a = field.from_int(rng.randint(-2, 2))
+        return quad_element(field, a, rng.randint(-1, 1), radical) if radical else a
+
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        m = Matrix(field, [[entry() for _ in range(n)] for _ in range(n)])
+        try:
+            inv = m.inverse()
+        except NotInvertible:
+            assert m.rank() < n
+            continue
+        assert m * inv == Matrix.identity(field, n) == inv * m and m.rank() == n
+    row = [entry(), entry(), entry()]
+    singular = Matrix(field, [row, [e + e for e in row], [entry(), entry(), entry()]])
+    assert singular.rank() < 3
+    with pytest.raises(NotInvertible):
+        singular.inverse()
+
+
 # ---------------------------------------------------------------------------
 # minimal polynomial
 # ---------------------------------------------------------------------------
