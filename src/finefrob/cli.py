@@ -21,7 +21,7 @@ import mpmath
 
 from . import jsonio
 from .errors import CapExceeded, DomainError, InputError, SchemaMismatch
-from .frobenius import fine_frobenius, normalize, verify_fine
+from .frobenius import _covariant_sum, fine_frobenius, normalize, verify_fine
 from .jordan_chevalley import (
     CompleteJC,
     complete_jc,
@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--terms", type=int, default=None, help="series cutoff override"
             )
-        return cmd
 
     add("minpoly", "minimal polynomial of a matrix")
     add("factor", "irreducible factorization of a polynomial")
@@ -335,11 +334,7 @@ def _check_fine(input_doc, result) -> dict:
         _same_shape(m, cov.projector)
     report = verify_fine(dec)
     clauses = dict(report.checks)
-    # M = sum gamma_i A_i + sum (alpha_j P_j + B_j), as reconstruct sums it
-    terms = [cov.matrix.scale(cov.eigenvalue) for cov in dec.linear]
-    terms += [cov.projector.scale(cov.alpha) + cov.vertical for cov in dec.quadratic]
-    total = sum(terms, Matrix.zeros(m.field, m.n))
-    clauses["reconstructs_input"] = report.passed and total == m
+    clauses["reconstructs_input"] = report.passed and _covariant_sum(dec) == m
     return clauses
 
 

@@ -262,6 +262,11 @@ def reconstruct(dec: FineFrobenius) -> Matrix:
         raise InvalidDecomposition(
             "decomposition record fails: " + ", ".join(rep.failing())
         )
+    return _covariant_sum(dec)
+
+
+def _covariant_sum(dec: FineFrobenius) -> Matrix:
+    """sum gamma_i A_i + sum (alpha_j P_j + B_j) of a record, unchecked."""
     terms = [cov.matrix.scale(cov.eigenvalue) for cov in dec.linear]
     terms += [cov.projector.scale(cov.alpha) + cov.vertical for cov in dec.quadratic]
     return sum(terms, Matrix.zeros(dec.field, dec.dim))

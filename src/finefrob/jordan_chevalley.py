@@ -29,13 +29,13 @@ from .matrix import (
     Spectrum,
     eval_poly_at_matrix,
     eval_polys_at_matrix,
+    is_nilpotent,
     minimal_polynomial,
     spectrum,
 )
 from .poly import (
     Factorization,
     Polynomial,
-    factor,
     poly_xgcd,
     reduced_form,
     squarefree_part,
@@ -257,14 +257,14 @@ def verify_complete_jc(m: Matrix, dec: CompleteJC) -> VerificationReport:
     )
     checks.append(("horizontal_diagonalizable", _splits_linear_squarefree(h)))
     checks.append(("vertical_semisimple_reduced", _vertical_semisimple(v)))
-    checks.append(("nilpotent", (n ** n.n).is_zero))
+    checks.append(("nilpotent", is_nilpotent(n)))
     return VerificationReport(tuple(checks))
 
 
 def _splits_linear_squarefree(h: Matrix) -> bool:
     """Minimal polynomial is a product of distinct linear factors."""
     try:
-        fact = factor(minimal_polynomial(h))
+        fact = spectrum(h).factorization
     except (DegreeTooLarge, FieldMismatch):
         return False
     return all(p.degree == 1 and mult == 1 for p, mult in fact.factors)
@@ -273,15 +273,7 @@ def _splits_linear_squarefree(h: Matrix) -> bool:
 def _vertical_semisimple(v: Matrix) -> bool:
     """Minimal polynomial squarefree with every factor equal to its reduced form."""
     try:
-        fact = factor(minimal_polynomial(v))
-    except (DegreeTooLarge, FieldMismatch):
+        fact = spectrum(v).factorization
+        return fact.is_squarefree and all(reduced_form(p) == p for p, _ in fact.factors)
+    except (DegreeTooLarge, FieldMismatch, NotKRegular):
         return False
-    for p, mult in fact.factors:
-        if mult != 1:
-            return False
-        try:
-            if reduced_form(p) != p:
-                return False
-        except NotKRegular:
-            return False
-    return True

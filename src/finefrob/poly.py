@@ -169,14 +169,8 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check(other)
-            if self.is_zero or other.is_zero:
-                return Polynomial.zero(self.field)
             _, a, b = _values(self, other)
-            out = [0] * (len(a) + len(b) - 1)
-            for i, c in enumerate(a):
-                if c:
-                    out[i : i + len(b)] = [o + c * e for o, e in zip(out[i:], b)]
-            return Polynomial(self.field, out)
+            return Polynomial(self.field, _mul(a, b))
         try:
             c = self.field.coerce(other)
         except (TypeError, FieldMismatch):
@@ -285,6 +279,15 @@ def _values(*polys):
     return (0, *(f.coeffs for f in polys))
 
 
+def _mul(a, b) -> list:
+    """The coefficients of a b, unreduced, skipping the zero ones of a."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            out[i : i + len(b)] = [o + c * e for o, e in zip(out[i:], b)]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # gcd family
 # ---------------------------------------------------------------------------
@@ -371,9 +374,8 @@ class Factorization:
 def factor(f: Polynomial) -> Factorization:
     """Complete factorization into monic irreducibles, canonically ordered.
 
-    Over F_p, equal-degree splitting draws from ``random.Random(0)``.  It is
-    Las Vegas (von zur Gathen & Gerhard, ch. 14): the draws set the running
-    time, never the factors, which are returned sorted.
+    Equal-degree splitting over F_p is Las Vegas (von zur Gathen & Gerhard,
+    ch. 14): its draws, from ``random.Random(0)``, set the time, not the factors.
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -570,14 +572,6 @@ def _squarefree_mod(coeffs: list[int], q: int) -> Polynomial | None:
         return None
     fq = Polynomial(PrimeField(q), coeffs)
     return fq if poly_gcd(fq, fq.derivative()).degree == 0 else None
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def _hensel_lift(coeffs: list[int], factors: list[Polynomial], modulus: int) -> list[list[int]]:
