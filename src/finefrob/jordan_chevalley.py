@@ -36,6 +36,7 @@ from .matrix import (
 from .poly import (
     Factorization,
     Polynomial,
+    factor,  # unused here; perfbench's tracer test patches jordan_chevalley.factor
     poly_xgcd,
     reduced_form,
     squarefree_part,

@@ -4,7 +4,8 @@ Matrices are immutable, square, and live over an explicit ground field;
 entries may be ground elements or elements of one fixed quadratic extension
 (mixing distinct radicals in one matrix is rejected).  The minimal polynomial
 is computed deterministically from per-basis-vector Krylov relations combined
-by lcm, which certifies minimality without any factorization.
+by lcm, which certifies minimality without any factorization; with quadratic
+entries a relation off the ground field raises FieldMismatch.
 
 Polynomials are evaluated at a matrix on one path, ``eval_polys_at_matrix``:
 the powers I, M, ..., M^e are computed once and every polynomial is a linear
@@ -16,7 +17,8 @@ entry becomes an element once, when the result is built.  Over Q the
 Krylov relations come from fraction-free elimination with exact division
 (Bareiss, Math. Comp. 22, 1968), and X -> dX turns the minimal polynomial
 of a into M's.  Only with quadratic entries do the loops run on the
-elements.
+elements.  ``rank`` and ``inverse`` always do, in one Gauss-Jordan loop
+(``inverse`` reduces [M | I]).
 
 ``Spectrum`` is the spectral data every decomposition reads: the minimal
 polynomial together with its factorization into monic irreducibles, built
@@ -227,7 +229,6 @@ class Matrix:
         return _gauss_jordan([list(r) for r in self.rows], self.field)
 
     def inverse(self) -> "Matrix":
-        """M^-1, the right half of [M | I] reduced by ``_gauss_jordan``."""
         rows = [list(r) + list(ident) for r, ident in
                 zip(self.rows, Matrix.identity(self.field, self.n).rows)]
         if _gauss_jordan(rows, self.field) < self.n:

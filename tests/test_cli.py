@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import finefrob.cli
-from finefrob import frobenius, jordan_chevalley, jsonio, matrix, poly, scalar, series
 from finefrob.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -632,7 +631,8 @@ def test_seed_flag_exits_1(tmp_path, capsys):
 
 
 def test_no_public_callable_takes_a_seed():
-    for module in (scalar, poly, matrix, jordan_chevalley, frobenius, series, jsonio):
+    for module in (finefrob.scalar, finefrob.poly, finefrob.matrix, finefrob.jordan_chevalley,
+                   finefrob.frobenius, finefrob.series, finefrob.jsonio):
         for name in module.__all__:
             obj = getattr(module, name)
             if callable(obj):
