@@ -3,9 +3,11 @@
 Matrices are immutable, square, and live over an explicit ground field;
 entries may be ground elements or elements of one fixed quadratic extension
 (mixing distinct radicals in one matrix is rejected).  The minimal polynomial
-is computed deterministically from per-basis-vector Krylov relations combined
-by lcm, which certifies minimality without any factorization; with quadratic
-entries a relation off the ground field raises FieldMismatch.
+is computed deterministically as a product of Krylov relations: each basis
+vector e_j that the product mu so far does not annihilate multiplies mu by
+the relation of mu(M) e_j, which makes mu lcm(mu, ann(e_j)) with no gcd and
+no factorization; with quadratic entries a relation off the ground field
+raises FieldMismatch.
 
 Polynomials are evaluated at a matrix on one path, ``eval_polys_at_matrix``:
 the powers I, M, ..., M^e are computed once and every polynomial is a linear
@@ -41,7 +43,7 @@ from .errors import (
     NotInvertible,
     NotKRegular,
 )
-from .poly import Factorization, Polynomial, factor, poly_lcm, squarefree_part
+from .poly import Factorization, Polynomial, _mul, factor, squarefree_part
 from .scalar import FpElement, QuadElement, is_k_regular_degree
 
 __all__ = [
@@ -363,39 +365,59 @@ def _coefficients(f: Polynomial, p, d: int):
 
 
 def minimal_polynomial(m: Matrix) -> Polynomial:
-    """Monic minimal polynomial via Krylov relations, lcm-combined per basis vector.
+    """Monic minimal polynomial as a product of Krylov relations, one per
+    basis vector that the product so far does not annihilate.
 
-    For each standard basis vector the first linear dependence among
-    v, Av, A^2 v, ... (A = d M, the integer matrix of ``_values``) is found
-    by exact elimination (deterministic first-nonzero pivoting); the relation
-    is the local annihilator, and the lcm over all basis vectors annihilates
-    every vector, hence A.  The roots of M's are those of A's over d.  A
-    relation off the ground field (X - sqrt2 for diag(1, sqrt2)) raises FieldMismatch.
+    mu starts at 1; for each standard basis vector e_j, w = mu(A) e_j (A = d M,
+    the integer matrix of ``_values``) is computed by Horner, and unless it is
+    0, mu becomes mu g, g the first linear dependence among w, Aw, A^2 w, ...
+    found by exact elimination (deterministic first-nonzero pivoting).  As
+    ann(w) = ann(e_j) / gcd(ann(e_j), mu), mu g is lcm(mu, ann(e_j)) with no
+    gcd taken; at the end mu annihilates every basis vector, hence A, and no
+    proper divisor does.  Over Q mu is a primitive integer list, and the
+    roots of M's are those of A's over d.  A relation off the ground field
+    (X - sqrt2 for diag(1, sqrt2)) raises FieldMismatch.
     """
-    field = m.field
+    field, n = m.field, m.n
     p, (a, d) = _values(m)
-    acc = Polynomial.one(field)
-    for j in range(m.n):
-        if acc.degree == m.n:
+    one = field.one if p is None else 1
+    mu = [one]
+    for j in range(n):
+        if len(mu) > n:
             break
-        local = _local_annihilator(a, j, p, field.one if p is None else 1)
-        if p is None and not all(map(field.is_ground, local)):
+        w = [0] * n
+        for c in reversed(mu):
+            w = [_dot(row, w) for row in a]
+            w[j] += c
+            if p:
+                w = [x % p for x in w]
+        if not any(w):
+            continue
+        g = _local_annihilator(a, w, p, one)
+        if p is None and not all(map(field.is_ground, g)):
             raise FieldMismatch("a Krylov relation has coefficients outside the ground field")
-        acc = poly_lcm(acc, Polynomial(field, local).monic())
-    if d == 1:
-        return acc
-    return Polynomial(field, [c / d ** (acc.degree - k) for k, c in enumerate(acc.coeffs)])
+        mu = _mul(mu, g)
+        if p:
+            mu = [c % p for c in mu]
+        elif p == 0:
+            content = math.gcd(*mu)
+            mu = [c // content for c in mu]
+    if p == 0:  # monic, and X -> dX
+        return Polynomial(field, [Fraction(c, mu[-1] * d ** (len(mu) - 1 - k))
+                                  for k, c in enumerate(mu)])
+    return Polynomial(field, mu)
 
 
-def _local_annihilator(a, j: int, p, one=1) -> list:
-    """Coefficients, constant first, of a least-degree g with g(A) e_j = 0, A
-    with rows a, one the unit of its values.  On residues (p > 0) each value
-    is read reduced mod p; on elements (p None) each stored row is scaled to
-    pivot 1 by field division; over Q (p = 0) the ints stay fraction-free by
-    Bareiss's exact division: every value is a minor of rows (A^t e_j, e_t)."""
+def _local_annihilator(a, start: list, p, one=1) -> list:
+    """Coefficients, constant first, of a least-degree g with g(A) start = 0,
+    A with rows a, start a nonzero vector of its values, one their unit.  On
+    residues (p > 0) each value is read reduced mod p; on elements (p None)
+    each stored row is scaled to pivot 1 by field division, so g is monic;
+    over Q (p = 0) the ints stay fraction-free by Bareiss's exact division:
+    every value is a minor of rows (A^t start, e_t)."""
     # each stored row: (pivot index, pivot value, reduced vector, combination over Krylov powers)
     basis: list[tuple[int, int, list, list]] = []
-    current = [one if i == j else 0 for i in range(len(a))]
+    current = start
     while True:
         red, red_combo, prev = current, [0] * len(basis) + [1], 1
         for pivot, s, bvec, bcombo in basis:  # s is 1 unless over Q

@@ -17,6 +17,8 @@ wrapping ``series._tail_bound``.  ``main`` parses with the parser built at
 import and constructs no ``argparse.ArgumentParser`` of its own.
 ``squarefree_part`` over Q runs Euclid's algorithm only when its modular
 certificate fails, counted by wrapping ``poly_gcd`` by field.
+``minimal_polynomial`` multiplies Krylov relations and takes no gcd or lcm,
+counted by wrapping ``poly_gcd``, ``poly_lcm`` and ``matrix._local_annihilator``.
 """
 
 import argparse
@@ -38,6 +40,7 @@ from finefrob import (
     Polynomial,
     PrimeField,
     crt_projectors,
+    eval_poly_at_matrix,
     quad_element,
     spectrum,
 )
@@ -292,3 +295,56 @@ def test_squarefree_part_of_squarefree_minpoly_takes_no_gcd_over_q(monkeypatch):
     assert calls["Q"] == 0 and calls[f"Fp:{finefrob.poly.SQUAREFREE_PRIME}"] == 1
     assert finefrob.poly.squarefree_part(mpoly * mpoly) == mpoly
     assert calls["Q"] == 1
+
+
+@pytest.mark.parametrize(
+    "field, blocks, relations",
+    [
+        (QQ, [[[Fraction(3, 2)]]] * 8, 1),  # scalar 8x8: one relation, the rest skipped
+        (QQ, [[[0, 1], [-2, Fraction(1, 3)]]] * 2 + [[[5]]], 2),
+        (QQ, [[[Fraction(3 * i - 2 * j + 1, (i * j) % 7 + 2) for j in range(6)]
+               for i in range(6)]], 1),
+        (PrimeField(7), [[[0, 1], [3, 0]]] * 2 + [[[1, 1], [0, 1]]], 3),
+        # (X - 2) X^3: each vector of the nilpotent chain adds one factor X
+        (PrimeField(7), [[[2]]] * 3 + [[[0, 1, 0], [0, 0, 1], [0, 0, 0]]], 4),
+    ],
+    ids=["scalar8-Q", "BBC-Q", "dense6-Q", "BBC-F7", "jordan-F7"],
+)
+def test_minimal_polynomial_multiplies_relations_without_gcd(
+        field, blocks, relations, monkeypatch):
+    """``minimal_polynomial`` of P diag(blocks) P^-1 takes no ``poly_gcd`` or
+    ``poly_lcm``: the degrees of the Krylov relations it builds sum to the
+    degree of the result, and a basis vector the product so far annihilates
+    builds none."""
+    calls = collections.Counter()
+    for name in ("poly_gcd", "poly_lcm"):
+        original = getattr(finefrob.poly, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(finefrob.poly, name, counting)
+    degrees = []
+    relation = finefrob.matrix._local_annihilator
+
+    def recording(*args):
+        g = relation(*args)
+        degrees.append(len(g) - 1)
+        return g
+
+    monkeypatch.setattr(finefrob.matrix, "_local_annihilator", recording)
+    n = sum(len(b) for b in blocks)
+    rows, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at : at + len(b)] = row
+        at += len(b)
+    upper = Matrix(field, [[int(i == j) or (i < j) * (i + 2 * j) % 3 for j in range(n)]
+                           for i in range(n)])
+    m = upper * Matrix(field, rows) * upper.inverse()
+    mpoly = finefrob.matrix.minimal_polynomial(m)
+    assert eval_poly_at_matrix(mpoly, m).is_zero
+    assert (len(degrees), sum(degrees)) == (relations, mpoly.degree)
+    assert calls == {}
+    assert not hasattr(finefrob.matrix, "poly_lcm")

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -370,6 +371,60 @@ def test_quadratic_entries_minimal_polynomial(field, rows, expected):
     assert got == oracles.oracle_minimal_polynomial(field, m.rows)
 
 
+@st.composite
+def structured_matrices(draw):
+    """(field, m) over Q or F_7: P diag(B, B, C) P^-1, never cyclic, a
+    scalar, the zero or a nilpotent Jordan matrix, P unit upper triangular.
+    With sqrt3 entries (3 a non-residue mod 7) they sit in P, and in the
+    scalar, whose minimal polynomial X - c is then off the ground field."""
+    field = draw(st.sampled_from((QQ, PrimeField(7))))
+    radical = draw(st.booleans())
+    small = st.integers(-3, 3).map(field.from_int)
+
+    def square(k):
+        return draw(st.lists(st.lists(small, min_size=k, max_size=k), min_size=k, max_size=k))
+
+    def value():
+        a = draw(small)
+        return quad_element(field, a, draw(st.integers(-1, 1)), 3) if radical else a
+
+    shape = draw(st.sampled_from(("blocks", "scalar", "zero", "jordan")))
+    if shape == "blocks":
+        blocks = 2 * [square(draw(st.integers(1, 3)))] + [square(draw(st.integers(0, 2)))]
+    elif shape == "jordan":
+        blocks = [[[int(j == i + 1) for j in range(k)] for i in range(k)]
+                  for k in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))]
+    else:
+        blocks = [[[0]]] * draw(st.integers(1, 6))
+    n = sum(len(b) for b in blocks)
+    rows, at = [[field.zero] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at : at + len(b)] = row
+        at += len(b)
+    m = Matrix(field, rows)
+    if shape == "scalar":
+        return field, Matrix.identity(field, n).scale(value())
+    upper = Matrix(field, [[field.one if i == j else value() if i < j else field.zero
+                            for j in range(n)] for i in range(n)])
+    return field, upper * m * upper.inverse()
+
+
+@given(structured_matrices())
+def test_minimal_polynomial_of_structured_matrices_matches_oracle(drawn):
+    """Against the vectorization oracle; with quadratic entries a Krylov
+    relation off the ground field may raise FieldMismatch instead, and must
+    when the oracle's polynomial is off it."""
+    field, m = drawn
+    oracle = oracles.oracle_minimal_polynomial(field, m.rows)
+    try:
+        got = list(minimal_polynomial(m).coeffs)
+    except FieldMismatch:
+        assert m.radical is not None
+        return
+    assert got == oracle
+
+
 # ---------------------------------------------------------------------------
 # kernels over Q (integer numerators over a common denominator)
 # ---------------------------------------------------------------------------
@@ -447,14 +502,19 @@ def test_q_polynomials_at_matrix_match_oracle(drawn, coeff_lists):
 
 @given(q_matrices())
 def test_krylov_relations_are_bounded_minors(drawn):
-    """Each local annihilator of the integer matrix a of m kills e_j, and each
-    of its coefficients is a minor of the matrix with rows (a^t e_j, e_t), so
-    Hadamard's inequality bounds it: the elimination divides exactly."""
+    """Each Krylov relation ``minimal_polynomial`` takes on the integer matrix
+    a of m kills its start vector w = mu(a) e_j, and each of its coefficients
+    is a minor of the matrix with rows (a^t w, e_t), so Hadamard's inequality
+    bounds it: the elimination divides exactly."""
     (m,) = drawn
     _, (a, _) = finefrob.matrix._values(m)
-    for j in range(m.n):
-        relation = finefrob.matrix._local_annihilator(a, j, 0)
-        vec, acc, bound = [int(i == j) for i in range(m.n)], [0] * m.n, 1
+    with mock.patch.object(finefrob.matrix, "_local_annihilator",
+                           wraps=finefrob.matrix._local_annihilator) as spy:
+        minimal_polynomial(m)
+    for (rows, start, p, _), _ in spy.call_args_list:
+        assert rows == a and p == 0 and any(start)
+        relation = finefrob.matrix._local_annihilator(a, start, 0)
+        vec, acc, bound = start, [0] * m.n, 1
         for g in relation:
             acc = [x + g * v for x, v in zip(acc, vec)]
             bound *= sum(v * v for v in vec) + 1
