@@ -384,6 +384,8 @@ class PrimeField:
             fr = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaMismatch(f"bad F_{self.p} literal {s!r}") from exc
+        if fr.denominator == 1:  # every literal finefrob prints: no inverse to take
+            return FpElement(fr.numerator, self.p)
         if fr.denominator % self.p == 0:
             raise SchemaMismatch(f"literal {s!r} has denominator divisible by {self.p}")
         return self.from_int(fr.numerator) / self.from_int(fr.denominator)

@@ -244,6 +244,20 @@ def test_fp_parse_accepts_fractions():
         f7.parse("x")
 
 
+@pytest.mark.parametrize("literal", ["0", "6", "7", "-1", "123456789012345678901", "14/2", "-21/3"])
+def test_fp_parse_of_an_integer_literal_is_its_residue(literal):
+    """Integral literals, "14/2" among them, take no inverse; the value is
+    the one a division by 1 gives."""
+    f7 = PrimeField(7)
+    value = Fraction(literal)
+    parsed = f7.parse(literal)
+    assert parsed == f7.from_int(value.numerator) / f7.one
+    assert parsed.residue == value.numerator % 7 and 0 <= parsed.residue < 7
+    for bad in ("3/14", "1/0", "", "1.5e", "0x7"):
+        with pytest.raises(SchemaMismatch):
+            f7.parse(bad)
+
+
 def test_fp_nonresidue_and_sqrt():
     f7 = PrimeField(7)
     assert f7.nonresidue == 3
