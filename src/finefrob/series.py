@@ -195,9 +195,11 @@ def _arch_radius(spec: SeriesSpec):
 # ---------------------------------------------------------------------------
 
 def _components(m: Matrix):
-    """``spectral_components`` of M, which must be over Q."""
+    """``spectral_components`` of M, which must be over Q with ground-field
+    entries, as ``apply_series`` asks."""
     if m.field.characteristic != 0:
         raise FieldMismatch("valued-field analysis is defined over Q")
+    _require_rational_matrix(m)
     return spectral_components(spectrum(m))
 
 

@@ -321,15 +321,38 @@ def test_check_cjc_of_quadratic_parts_reaches_a_verdict(tmp_path, capsys):
     ]
 
 
-def test_check_jc_of_quadratic_parts_exits_2(tmp_path, capsys):
+def test_check_jc_of_quadratic_parts_reaches_a_verdict(tmp_path, capsys):
+    """S = diag(sqrt2, 0), N = -S sum to the zero matrix; N is not
+    nilpotent, and the minimal polynomial of S is not over Q, so S is
+    reported not semisimple, as check cjc reports its H and V."""
     zero = mat_doc([["0", "0"], ["0", "0"]])
     path = write_doc(tmp_path, "m.json", zero)
     forged = {"command": "jc", "result": {
         "S": mat_doc([[R2, "0"], ["0", "0"]]),
         "N": mat_doc([[MINUS_R2, "0"], ["0", "0"]]),
     }}
-    code, doc = run_json(capsys, ["check", path, write_doc(tmp_path, "r.json", forged)])
+    code, verdict = run_json(capsys, ["check", path, write_doc(tmp_path, "r.json", forged)])
+    assert code == 0 and verdict["result"]["passed"] is False
+    failing = sorted(k for k, v in verdict["report"].items() if v is False)
+    assert failing == ["nilpotent", "semisimple"]
+
+
+@pytest.mark.parametrize("command", ["apply", "domain"])
+def test_series_commands_refuse_quadratic_entries(tmp_path, capsys, command):
+    """[[0, sqrt3], [sqrt3, 0]] has minimal polynomial X^2 - 3 over Q, but
+    domain refuses its entries as apply does, with the same message; over
+    F_7 both keep their own messages."""
+    path = write_doc(tmp_path, "m.json", mat_doc([["0", R3], [R3, "0"]]))
+    code, doc = run_json(capsys, [command, path, "--fn", "exp", "--abs", "arch"])
     assert (code, doc["error"]["code"]) == (2, "FieldMismatch")
+    assert doc["error"]["message"] == "series application needs ground-field entries"
+    path = write_doc(tmp_path, "f.json", mat_doc([["0", "1"], ["1", "0"]], field="Fp:7"))
+    code, doc = run_json(capsys, [command, path, "--fn", "exp", "--abs", "arch"])
+    assert (code, doc["error"]["code"]) == (2, "FieldMismatch")
+    assert doc["error"]["message"] == {
+        "apply": "series application is defined over Q",
+        "domain": "valued-field analysis is defined over Q",
+    }[command]
 
 
 def test_check_fine_and_normalize(tmp_path, capsys):
