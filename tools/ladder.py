@@ -1,7 +1,6 @@
 """Size ladder: per-layer times of a base revision and of the working tree.
 
-    python3 tools/ladder.py                       # base HEAD, writes BENCH_ladder.json
-    python3 tools/ladder.py --base HEAD~3 --seeds 3 --timeout 10 --out /tmp/l.json
+    python3 tools/ladder.py --base <rev>          # writes BENCH_ladder.json
 
 For each field (Q, F_1009), each kind of matrix and each size, a fresh
 interpreter imports finefrob from one source tree, builds the seeded
@@ -10,21 +9,28 @@ that polynomial, ``complete_jc`` and ``verify_complete_jc`` of its result:
 n = 2..24 for all four, n = 32 and 40 for the minimal polynomial only.
 The base tree is ``git archive`` of ``--base``; the two trees run one after
 the other for every size, in an order that flips from size to size, so a
-drift of the host's speed falls on both.  Kinds:
+drift of the host's speed falls on both.  Kinds, built by ``build``; C(f) is
+the companion matrix of f and P is unit upper triangular with entries in
+[-1, 1], so P^-1 e_0 = e_0:
 
 - ``dense``: entries a / b, a in [-9, 9] and b in {1, 1, 2, 3} over Q,
-  uniform residues over F_1009;
+  uniform residues over F_1009; such a matrix is cyclic, so e_0 alone gives
+  the minimal polynomial;
 - ``near_cyclic``: P diag(C(f), r) P^-1 with f = (X - r) g, g monic of
-  degree n - 2 with small random coefficients, C(f) its companion matrix
-  and P unit upper triangular with entries in [-1, 1]: the minimal
-  polynomial is f, of degree n - 1 < n, so no basis vector can stop the
-  minimal polynomial's loop over the basis early.
+  degree n - 2 with small random coefficients: the minimal polynomial is f,
+  of degree n - 1 < n, from the relation of e_0; every later basis vector
+  is annihilated by it, so a loop over the basis that tests each vector
+  against the product so far builds no second relation;
+- ``two_blocks``: P diag(C(f), C(g)) P^-1 with f, g monic, coprime, of
+  degrees n // 2 and n - n // 2 with small random coefficients: e_0 gives
+  f, and e_{n // 2} leaves f(M) e_{n // 2} != 0 with relation g, so the
+  minimal polynomial f g needs two nontrivial relations.
 
-Every call runs under a ``--timeout`` alarm; a call past it is recorded as
+Every call runs under a ``TIMEOUT_S`` alarm; a call past it is recorded as
 ``"timeout"`` and never dropped, and a layer whose input timed out is
-``"not run"``.  A summary gives p50 and max over the seeds, in ms; either
-reads ``"timeout"`` when a timed-out call reaches it.  Each tree runs in a
-single process at a time.
+``"not run"``.  A summary gives p50 and max over the ``SEEDS`` seeds, in ms;
+either reads ``"timeout"`` when a timed-out call reaches it.  Each tree runs
+in a single process at a time.
 """
 
 from __future__ import annotations
@@ -41,20 +47,59 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("minimal_polynomial", "factor", "complete_jc", "verify_complete_jc")
 FIELDS = ("Q", "Fp:1009")
-KINDS = ("dense", "near_cyclic")
+KINDS = ("dense", "near_cyclic", "two_blocks")
 FULL_SIZES = range(2, 25)
 MINPOLY_SIZES = (32, 40)
+SEEDS = 5
+TIMEOUT_S = 20.0
+
+
+def build(field, kind: str, n: int, rng):
+    """The seeded n x n matrix of one kind, from the finefrob first on sys.path."""
+    from fractions import Fraction
+
+    from finefrob import Matrix, Polynomial
+    from finefrob.poly import poly_gcd
+
+    if kind == "dense":
+        if field.characteristic:
+            return Matrix(field, [[rng.randrange(field.characteristic) for _ in range(n)]
+                                  for _ in range(n)])
+        return Matrix(field, [[Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+                               for _ in range(n)] for _ in range(n)])
+
+    def monic(d):
+        return Polynomial(field, [rng.randint(-3, 3) for _ in range(d)] + [1])
+
+    if kind == "near_cyclic":
+        r = rng.randint(-5, 5)
+        blocks = [Matrix.companion(Polynomial(field, [-r, 1]) * monic(n - 2)),
+                  Matrix(field, [[r]])]
+    else:
+        f, g = monic(n // 2), monic(n - n // 2)
+        while poly_gcd(f, g).degree:
+            g = monic(n - n // 2)
+        blocks = [Matrix.companion(f), Matrix.companion(g)]
+    rows, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b.rows):
+            rows[at + i][at : at + len(row)] = row
+        at += len(b.rows)
+    p = Matrix(field, [[int(i == j) or (i < j) * rng.randint(-1, 1) for j in range(n)]
+                       for i in range(n)])
+    return p * Matrix(field, rows) * p.inverse()
+
 
 CHILD = r'''
 import json, random, signal, sys, time
-from fractions import Fraction
-sys.path.insert(0, sys.argv[1])
-from finefrob import Matrix, Polynomial, field_from_tag, minimal_polynomial, factor
+sys.path[:0] = sys.argv[1:3]
+from finefrob import field_from_tag, minimal_polynomial, factor
 from finefrob import complete_jc, verify_complete_jc
 from finefrob.errors import FinefrobError
+from ladder import SEEDS, TIMEOUT_S, build
 
-tag, kind, n, seeds, timeout, layers = sys.argv[2:8]
-field, n, timeout, layers = field_from_tag(tag), int(n), float(timeout), layers.split(",")
+tag, kind, n, layers = sys.argv[3:7]
+field, n, layers = field_from_tag(tag), int(n), layers.split(",")
 
 
 class Timeout(Exception):
@@ -65,25 +110,8 @@ def alarm(signum, frame):
     raise Timeout
 
 
-def matrix(rng):
-    if kind == "dense":
-        if field.characteristic:
-            return Matrix(field, [[rng.randrange(field.characteristic) for _ in range(n)]
-                                  for _ in range(n)])
-        return Matrix(field, [[Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
-                               for _ in range(n)] for _ in range(n)])
-    r = rng.randint(-5, 5)
-    g = Polynomial(field, [rng.randint(-3, 3) for _ in range(n - 2)] + [1])
-    f = Polynomial(field, [-r, 1]) * g
-    c = Matrix.companion(f).rows
-    rows = [list(row) + [0] for row in c] + [[0] * (n - 1) + [r]]
-    p = Matrix(field, [[int(i == j) or (i < j) * rng.randint(-1, 1) for j in range(n)]
-                       for i in range(n)])
-    return p * Matrix(field, rows) * p.inverse()
-
-
 def timed(fn, *args):
-    signal.setitimer(signal.ITIMER_REAL, timeout)
+    signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
     start = time.perf_counter()
     try:
         value = fn(*args)
@@ -97,8 +125,8 @@ def timed(fn, *args):
 
 
 signal.signal(signal.SIGALRM, alarm)
-for seed in range(int(seeds)):
-    m = matrix(random.Random(f"{tag}/{kind}/{n}/{seed}"))
+for seed in range(SEEDS):
+    m = build(field, kind, n, random.Random(f"{tag}/{kind}/{n}/{seed}"))
     out = {}
     mp, out["minimal_polynomial"] = timed(minimal_polynomial, m)
     if "factor" in layers:
@@ -110,12 +138,12 @@ for seed in range(int(seeds)):
 '''
 
 
-def run_tree(src: Path, tag: str, kind: str, n: int, layers, args) -> list[dict]:
+def run_tree(src: Path, tag: str, kind: str, n: int, layers) -> list[dict]:
     """One sample per seed: layer -> ms, "timeout", "not run" or "error: ..."."""
-    argv = [sys.executable, "-c", CHILD, str(src), tag, kind, str(n), str(args.seeds),
-            str(args.timeout), ",".join(layers)]
+    argv = [sys.executable, "-c", CHILD, str(src), str(Path(__file__).resolve().parent),
+            tag, kind, str(n), ",".join(layers)]
     # each call has its own alarm; the outer limit only catches a hung interpreter
-    limit = 30 + args.seeds * len(layers) * args.timeout * 2
+    limit = 30 + SEEDS * len(layers) * TIMEOUT_S * 2
     done = subprocess.run(argv, capture_output=True, text=True, timeout=limit, check=True)
     return [json.loads(line) for line in done.stdout.splitlines()]
 
@@ -143,10 +171,7 @@ def export(rev: str, into: Path) -> Path:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--seeds", type=int, default=5)
-    parser.add_argument("--timeout", type=float, default=20.0, help="seconds per call")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_ladder.json"))
+    parser.add_argument("--base", required=True, help="git revision to compare against")
     args = parser.parse_args(argv)
     rev = subprocess.run(["git", "rev-parse", "--short", args.base], cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout.strip()
@@ -160,7 +185,7 @@ def main(argv=None) -> int:
                 for n, layers in cases:
                     order = ("head", "base") if flip else ("base", "head")
                     flip = not flip
-                    got = {name: run_tree(trees[name], tag, kind, n, layers, args)
+                    got = {name: run_tree(trees[name], tag, kind, n, layers)
                            for name in order}
                     for layer in layers:
                         row = {"field": tag, "kind": kind, "n": n, "layer": layer}
@@ -171,17 +196,17 @@ def main(argv=None) -> int:
                                           f"{r['head'].get('p50_ms')}" for r in rows[-len(layers):]),
                           file=sys.stderr, flush=True)
     record = {
-        "command": " ".join(["python3 tools/ladder.py", *(sys.argv[1:] if argv is None else argv)]),
+        "command": f"python3 tools/ladder.py --base {rev}",
         "base": rev,
         "head": "working tree",
-        "seeds": args.seeds,
-        "timeout_s": args.timeout,
+        "seeds": SEEDS,
+        "timeout_s": TIMEOUT_S,
         "unit": "ms per call, p50 and max over the seeds",
         "machine": {"python": platform.python_version(), "nproc": os.cpu_count(),
                     "platform": platform.platform()},
         "rows": rows,
     }
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    (ROOT / "BENCH_ladder.json").write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
