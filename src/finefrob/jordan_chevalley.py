@@ -1,16 +1,21 @@
 """Additive and complete additive Jordan-Chevalley decompositions.
 
-``jc_decompose_newton`` splits a K-regular matrix as M = S + N (S semisimple,
-N nilpotent, both polynomial expressions of M) by a Newton iteration on the
-squarefree part of the minimal polynomial, with exact annihilation as the
-termination certificate.
+The semisimple part S of M is x(M) for a polynomial x that is unique modulo
+the minimal polynomial mu.  ``jc_decompose_newton`` finds x by Newton's
+iteration on the squarefree part q of mu in K[X]/(mu), with exact
+annihilation q(x) = 0 as the termination certificate, and splits M = S + N
+(S semisimple, N nilpotent, both polynomial expressions of M).
 
 ``complete_jc`` refines this to M = H + V + N: H is diagonalizable over the
 ground field (the sum of per-factor root projections times CRT projectors),
-V = S - H is vertical semisimple, and N = M - S.  The semisimple part is
-computed twice — by the factorization-free Newton route and by per-factor
-Hensel lifts recombined through the projectors — and the two must agree
-exactly; a mismatch is an internal error, not a report entry.
+V = S - H is vertical semisimple, and N = M - S.  x is computed twice: by
+the factorization-free Newton route, and as sum r_i e_i, r_i the Newton root
+of the irreducible factor h_i in K[X]/(h_i^mult) and e_i its CRT idempotent
+(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5 and 9).  The two
+must agree as polynomials mod mu, which is as strong as comparing x(M) with
+the matrix of the other, since p(M) = 0 iff mu divides p; a mismatch is an
+internal error, not a report entry.  S and the projectors are then read off
+one table of the powers of M.
 """
 
 from __future__ import annotations
@@ -111,56 +116,49 @@ def _check_k_regular(spectral: Spectrum):
 def jc_decompose_newton(m: Matrix) -> AdditiveJC:
     """Additive Jordan-Chevalley decomposition via Newton iteration.
 
-    Iterates x <- x - q(x) * q'(x)^{-1} in K[X]/(minimal polynomial), where q
-    is the squarefree part; each step squares the defect, so exact
-    annihilation q(x) = 0 is reached in at most log2(max multiplicity) + 1
-    steps.  S = x(M) and N = M - S.  Over Q, q comes from a gcd and no
+    S = x(M) for x the root of q in K[X]/(minimal polynomial) that lifts X,
+    q the squarefree part, and N = M - S.  Over Q, q comes from a gcd and no
     factorization is made; over F_p it is the product of the factors.
     """
     if m.field.characteristic == 0:
         mpoly = minimal_polynomial(m)
-        return _newton(m, mpoly, squarefree_part(mpoly))
-    spectral = spectrum(m)
-    _check_k_regular(spectral)
-    return _newton(m, spectral.minpoly, spectral.factorization.radical(m.field))
-
-
-def _newton(m: Matrix, mpoly: Polynomial, q: Polynomial) -> AdditiveJC:
-    """Newton's S = x(M) for the minimal polynomial mpoly and its squarefree part q."""
-    qprime = q.derivative()
-    x = Polynomial.x(m.field) % mpoly
-    for _ in range(_NEWTON_CAP):
-        qx = _eval_mod(q, x, mpoly)
-        if qx.is_zero:
-            break
-        w = _eval_mod(qprime, x, mpoly)
-        g, u, _ = poly_xgcd(w, mpoly)
-        if g.degree != 0:
-            raise NoModularInverse(
-                "q'(x) is not invertible modulo the minimal polynomial"
-            )
-        x = (x - qx * u) % mpoly
-    else:  # pragma: no cover - termination is certified by the defect squaring
-        raise ArithmeticError("Newton iteration failed to terminate")
+        q = squarefree_part(mpoly)
+    else:
+        spectral = spectrum(m)
+        _check_k_regular(spectral)
+        mpoly, q = spectral.minpoly, spectral.factorization.radical(m.field)
+    x = _newton_root(q, mpoly)
     semisimple = eval_poly_at_matrix(x, m)
     return AdditiveJC(semisimple, m - semisimple, x)
 
 
-def crt_projectors(fact: Factorization, m: Matrix) -> list[Matrix]:
-    """Per-factor projectors P_i = e_i(M) from CRT idempotents in K[X]/(m).
+def _newton_root(f: Polynomial, modulus: Polynomial) -> Polynomial:
+    """The root of a separable f in K[X]/(modulus) that lifts X, modulus
+    dividing a power of f.
 
-    e_i = u_i * (m / m_i^mu_i) mod m, where u_i inverts the complementary
-    product modulo m_i^mu_i; the e_i sum to 1 and are pairwise orthogonal
-    idempotents, so the P_i form a resolution of the identity.  Every e_i has
-    degree below D = deg m, so all of them are combinations of one table
-    I, M, ..., M^(D-1), built with at most D - 2 matrix products.
+    Iterates x <- x - f(x) * f'(x)^{-1}; each step squares the defect, so
+    exact annihilation f(x) = 0, the certificate, is reached in at most
+    log2(max multiplicity) + 1 steps.
     """
-    field = m.field
-    if len(fact.factors) == 1:
-        return [Matrix.identity(field, m.n)]
-    modulus = Polynomial.one(field)
-    for h, mult in fact.factors:
-        modulus = modulus * h**mult
+    deriv = f.derivative()
+    x = Polynomial.x(f.field) % modulus
+    for _ in range(_NEWTON_CAP):
+        fx = _eval_mod(f, x, modulus)
+        if fx.is_zero:
+            return x
+        g, u, _ = poly_xgcd(_eval_mod(deriv, x, modulus), modulus)
+        if g.degree != 0:  # pragma: no cover - f is separable
+            raise NoModularInverse("f'(x) is not invertible modulo the modulus")
+        x = (x - fx * u) % modulus
+    raise ArithmeticError("Newton iteration failed to terminate")  # pragma: no cover
+
+
+def _idempotents(fact: Factorization, field) -> list[Polynomial]:
+    """CRT idempotents e_i = u_i * (m / m_i^mu_i) mod m of K[X]/(m), m the
+    expanded factorization and u_i the inverse of the complementary product
+    modulo m_i^mu_i: they sum to 1, are pairwise orthogonal and have degree
+    below deg m."""
+    modulus = fact.expand(field)
     idempotents = []
     for h, mult in fact.factors:
         primary = h**mult
@@ -169,39 +167,17 @@ def crt_projectors(fact: Factorization, m: Matrix) -> list[Matrix]:
         if g.degree != 0:  # pragma: no cover - factors are coprime
             raise NoModularInverse("CRT moduli are not coprime")
         idempotents.append((u * complement) % modulus)
-    return eval_polys_at_matrix(idempotents, m)
+    return idempotents
 
 
-def _hensel_root(factor_poly: Polynomial, mult: int) -> Polynomial:
-    """The root of factor_poly in K[X]/(factor_poly^mult) lifting X."""
-    field = factor_poly.field
-    modulus = factor_poly**mult
-    x = Polynomial.x(field) % modulus
-    deriv = factor_poly.derivative()
-    for _ in range(_NEWTON_CAP):
-        fx = _eval_mod(factor_poly, x, modulus)
-        if fx.is_zero:
-            return x
-        w = _eval_mod(deriv, x, modulus)
-        g, u, _ = poly_xgcd(w, modulus)
-        if g.degree != 0:  # pragma: no cover - separable factor
-            raise NoModularInverse("derivative not invertible in the lift")
-        x = (x - fx * u) % modulus
-    raise ArithmeticError("Hensel lift failed to terminate")  # pragma: no cover
+def crt_projectors(fact: Factorization, m: Matrix) -> list[Matrix]:
+    """Per-factor projectors P_i = e_i(M) from the CRT idempotents of K[X]/(m).
 
-
-def _semisimple_from_projectors(
-    fact: Factorization, projectors: list[Matrix], m: Matrix
-) -> Matrix:
-    """Independent construction of S: per-factor Hensel roots glued by CRT."""
-    roots = [
-        Polynomial.x(m.field) if mult == 1 else _hensel_root(h, mult)
-        for h, mult in fact.factors
-    ]
-    acc = Matrix.zeros(m.field, m.n)
-    for root, proj in zip(eval_polys_at_matrix(roots, m), projectors):
-        acc = acc + root * proj
-    return acc
+    The P_i form a resolution of the identity.  Every e_i has degree below
+    D = deg m, so all of them are combinations of one table I, M, ...,
+    M^(D-1), built with at most D - 2 matrix products.
+    """
+    return eval_polys_at_matrix(_idempotents(fact, m.field), m)
 
 
 def complete_jc(m: Matrix) -> CompleteJC:
@@ -214,25 +190,26 @@ def complete_jc(m: Matrix) -> CompleteJC:
     except DegreeTooLarge as exc:
         raise FactorizationFailed(str(exc)) from exc
     _check_k_regular(spectral)
-    fact = spectral.factorization
-    projectors = crt_projectors(fact, m)
+    fact, mpoly = spectral.factorization, spectral.minpoly
+    # over Q, Newton's q comes from squarefree_part, so the two routes to x
+    # share no factorization and their agreement stays a check
+    q = squarefree_part(mpoly) if field.characteristic == 0 else fact.radical(field)
+    x = _newton_root(q, mpoly)
+    idempotents = _idempotents(fact, field)
+    glued = Polynomial.zero(field)
+    for (h, mult), e in zip(fact.factors, idempotents):
+        glued = glued + _newton_root(h, h**mult) * e
+    if x != glued % mpoly:  # pragma: no cover - equal by uniqueness
+        raise ArithmeticError(
+            "Newton and Hensel-CRT constructions of the semisimple part disagree"
+        )
+    semisimple, *projectors = eval_polys_at_matrix([x, *idempotents], m)
     horizontal = Matrix.zeros(field, m.n)
     data = []
     for (h, mult), proj in zip(fact.factors, projectors):
         alpha = k_projection_of_factor(h)
         horizontal = horizontal + proj.scale(alpha)
         data.append(FactorData(h, mult, proj, alpha))
-    # over Q, Newton's q comes from squarefree_part, so the two routes to S
-    # share no factorization and their agreement stays a check
-    mpoly = spectral.minpoly
-    q = squarefree_part(mpoly) if field.characteristic == 0 else fact.radical(field)
-    newton = _newton(m, mpoly, q)
-    via_projectors = _semisimple_from_projectors(fact, projectors, m)
-    if newton.semisimple != via_projectors:  # pragma: no cover - equal by uniqueness
-        raise ArithmeticError(
-            "Newton and projector constructions of the semisimple part disagree"
-        )
-    semisimple = newton.semisimple
     return CompleteJC(
         horizontal=horizontal,
         vertical=semisimple - horizontal,

@@ -244,14 +244,21 @@ def complete_jc_to_json(dec: CompleteJC) -> dict:
     }
 
 
-def fine_to_json(dec: FineFrobenius) -> dict:
-    field = dec.field
+def _ground_covariants_to_json(dec: FineFrobenius | NormalizedFineFrobenius) -> dict:
+    """The keys a fine and a normalized decomposition share: A0 and linear."""
     return {
         "A0": matrix_to_json(dec.kernel_projector),
         "linear": [
-            {"gamma": field.to_str(cov.eigenvalue), "A": matrix_to_json(cov.matrix)}
+            {"gamma": dec.field.to_str(cov.eigenvalue), "A": matrix_to_json(cov.matrix)}
             for cov in dec.linear
         ],
+    }
+
+
+def fine_to_json(dec: FineFrobenius) -> dict:
+    field = dec.field
+    return {
+        **_ground_covariants_to_json(dec),
         "quadratic": [
             {
                 "alpha": field.to_str(cov.alpha),
@@ -308,11 +315,7 @@ def fine_from_json(obj) -> FineFrobenius:
 def normalized_to_json(dec: NormalizedFineFrobenius) -> dict:
     field = dec.field
     return {
-        "A0": matrix_to_json(dec.kernel_projector),
-        "linear": [
-            {"gamma": field.to_str(cov.eigenvalue), "A": matrix_to_json(cov.matrix)}
-            for cov in dec.linear
-        ],
+        **_ground_covariants_to_json(dec),
         "quadratic": [
             {
                 "alpha": field.to_str(cov.alpha),

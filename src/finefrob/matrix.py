@@ -6,7 +6,7 @@ entries may be ground elements or elements of one fixed quadratic extension
 is computed deterministically as a product of Krylov relations: each basis
 vector e_j that the product mu so far does not annihilate multiplies mu by
 the relation of mu(M) e_j, which makes mu lcm(mu, ann(e_j)) with no gcd and
-no factorization; with quadratic entries a relation off the ground field
+no factorization; with quadratic entries a product off the ground field
 raises FieldMismatch.
 
 Polynomials are evaluated at a matrix on one path, ``eval_polys_at_matrix``:
@@ -375,8 +375,10 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
     ann(w) = ann(e_j) / gcd(ann(e_j), mu), mu g is lcm(mu, ann(e_j)) with no
     gcd taken; at the end mu annihilates every basis vector, hence A, and no
     proper divisor does.  Over Q mu is a primitive integer list, and the
-    roots of M's are those of A's over d.  A relation off the ground field
-    (X - sqrt2 for diag(1, sqrt2)) raises FieldMismatch.
+    roots of M's are those of A's over d.  With quadratic entries a
+    relation may leave the ground field while the product returns to it (X -
+    sqrt2 and X + sqrt2 for diag(sqrt2, -sqrt2)); a product off the ground
+    field ((X - 1)(X - sqrt2) for diag(1, sqrt2)) raises FieldMismatch.
     """
     field, n = m.field, m.n
     p, (a, d) = _values(m)
@@ -393,15 +395,14 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
                 w = [x % p for x in w]
         if not any(w):
             continue
-        g = _local_annihilator(a, w, p, one)
-        if p is None and not all(map(field.is_ground, g)):
-            raise FieldMismatch("a Krylov relation has coefficients outside the ground field")
-        mu = _mul(mu, g)
+        mu = _mul(mu, _local_annihilator(a, w, p, one))
         if p:
             mu = [c % p for c in mu]
         elif p == 0:
             content = math.gcd(*mu)
             mu = [c // content for c in mu]
+    if p is None and not all(map(field.is_ground, mu)):
+        raise FieldMismatch("a Krylov relation has coefficients outside the ground field")
     if p == 0:  # monic, and X -> dX
         return Polynomial(field, [Fraction(c, mu[-1] * d ** (len(mu) - 1 - k))
                                   for k, c in enumerate(mu)])

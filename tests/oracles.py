@@ -191,6 +191,21 @@ def oracle_minimal_polynomial(field, a):
     raise AssertionError("no annihilating relation up to the dimension")
 
 
+def is_squarefree(field, f):
+    """Whether f (degree >= 1, constant first) is prime to f': the rows
+    X^i f, i < deg f', and X^j f', j < deg f, of their Sylvester matrix are
+    independent exactly when the resultant is nonzero."""
+    f = poly_trim(field, f)
+    df = poly_trim(field, [c * k for k, c in enumerate(f)][1:])
+    if not df:
+        return False
+    m, k = len(f) - 1, len(df) - 1
+    zero = field.zero
+    rows = [[zero] * i + f + [zero] * (k - 1 - i) for i in range(k)]
+    rows += [[zero] * j + df + [zero] * (m - 1 - j) for j in range(m)]
+    return gauss_rank(field, rows) == m + k
+
+
 def annihilates(field, coeffs, a):
     return poly_eval_matrix(field, coeffs, a) == mat_zero(field, len(a))
 

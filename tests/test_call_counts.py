@@ -5,7 +5,8 @@ namespace that names them, the way ``perfbench/tracing.py`` installs its
 wrappers, and each CLI command is run once on a golden input.  A
 decomposition computes its matrix's spectral data once; the Newton route over
 Q factors nothing; ``check`` recomputes on its own and keeps its counts.
-The CRT projectors of a matrix share one table of its powers, counted by
+The CRT projectors of a matrix share one table of its powers, and
+``complete_jc`` reads S and the projectors off one such table, counted by
 wrapping the int product kernel ``matrix._product``; wrapping
 ``Matrix.__mul__`` counts the products each ``check`` takes and those of
 ``M**k``; ``check fine`` calls ``verify_fine`` once.
@@ -39,10 +40,12 @@ from finefrob import (
     Matrix,
     Polynomial,
     PrimeField,
+    complete_jc,
     crt_projectors,
     eval_poly_at_matrix,
     quad_element,
     spectrum,
+    verify_complete_jc,
 )
 from finefrob.cli import main
 
@@ -205,6 +208,50 @@ def test_crt_projectors_share_one_power_table(monkeypatch):
     assert sum(projectors[1:], projectors[0]) == Matrix.identity(m.field, m.n)
 
 
+def _conjugated(field, blocks) -> Matrix:
+    """P diag(blocks) P^-1, P unit upper triangular with entries in {0, 1, 2}."""
+    n = sum(len(b) for b in blocks)
+    rows, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at : at + len(b)] = row
+        at += len(b)
+    upper = Matrix(field, [[int(i == j) or (i < j) * (i + 2 * j) % 3 for j in range(n)]
+                           for i in range(n)])
+    return upper * Matrix(field, rows) * upper.inverse()
+
+
+@pytest.mark.parametrize(
+    "m, degree, wanted",
+    [
+        (Matrix(PrimeField(7), F7_DENSE), 6, 4),
+        # C((X^2 + 1)^2) + J_2(2): (X^2 + 1)^2 (X - 2)^2
+        (_conjugated(QQ, [Matrix.companion(Polynomial(QQ, [1, 0, 2, 0, 1])).rows,
+                          [[2, 1], [0, 2]]]), 6, 4),
+        # C(X^3 - 2): x = X and e_1 = 1, so no power past M
+        (Matrix.companion(Polynomial(QQ, [-2, 0, 0, 1])), 3, 0),
+    ],
+    ids=["F7-dense", "Q-repeated-quadratic", "Q-irreducible"],
+)
+def test_complete_jc_evaluates_at_m_once(m, degree, wanted, monkeypatch):
+    """S and every projector are read off one table I, M, ..., M^(D-1):
+    D - 2 int products, and none when the minimal polynomial is
+    irreducible, as x = X and the one idempotent is 1."""
+    assert spectrum(m).minpoly.degree == degree
+    products = collections.Counter()
+    original = finefrob.matrix._product
+
+    def counting(a, b):
+        products["mul"] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(finefrob.matrix, "_product", counting)
+    dec = complete_jc(m)
+    assert products["mul"] == wanted
+    monkeypatch.undo()
+    assert verify_complete_jc(m, dec).passed
+
+
 def test_quadratic_arithmetic_reduces_no_radicand(monkeypatch):
     x = quad_element(QQ, 1, 2, 6)
     y = quad_element(QQ, Fraction(-3, 4), 5, 6)
@@ -334,15 +381,7 @@ def test_minimal_polynomial_multiplies_relations_without_gcd(
         return g
 
     monkeypatch.setattr(finefrob.matrix, "_local_annihilator", recording)
-    n = sum(len(b) for b in blocks)
-    rows, at = [[0] * n for _ in range(n)], 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            rows[at + i][at : at + len(b)] = row
-        at += len(b)
-    upper = Matrix(field, [[int(i == j) or (i < j) * (i + 2 * j) % 3 for j in range(n)]
-                           for i in range(n)])
-    m = upper * Matrix(field, rows) * upper.inverse()
+    m = _conjugated(field, blocks)
     mpoly = finefrob.matrix.minimal_polynomial(m)
     assert eval_poly_at_matrix(mpoly, m).is_zero
     assert (len(degrees), sum(degrees)) == (relations, mpoly.degree)

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import corpus
+import oracles
 from finefrob import (
     Matrix,
     Polynomial,
@@ -205,6 +207,46 @@ def test_complete_jc_conjugation_equivariance():
         assert conj.horizontal == p * dec.horizontal * p_inv
         assert conj.vertical == p * dec.vertical * p_inv
         assert conj.nilpotent == p * dec.nilpotent * p_inv
+
+
+@st.composite
+def repeated_factor_matrices(draw):
+    """(field, f, M) over Q or F_7: M = P diag(C(f^2), C(g)) P^-1, f = (X -
+    a)^2 - t irreducible (t not a square), g monic of degree 0..3 prime to f
+    (no block at degree 0), P unit upper triangular.  The Hensel root of f
+    modulo f^2 is not X."""
+    field = draw(st.sampled_from((QQ, PrimeField(7))))
+    small = st.integers(-2, 2).map(field.from_int)
+    a = draw(small)
+    t = field.from_int(draw(st.sampled_from((-1, 2, 3, 5) if field is QQ else (3, 5, 6))))
+    f = Polynomial(field, [a * a - t, -2 * a, field.one])
+    g = Polynomial(field, draw(st.lists(small, max_size=3)) + [field.one])
+    assume(not (g % f).is_zero)
+    blocks = [Matrix.companion(f * f).rows] + ([Matrix.companion(g).rows] if g.degree else [])
+    n = sum(len(b) for b in blocks)
+    rows, at = [[field.zero] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at : at + len(b)] = row
+        at += len(b)
+    upper = Matrix(field, [[field.one if i == j else draw(small) if i < j else field.zero
+                            for j in range(n)] for i in range(n)])
+    return field, f, upper * Matrix(field, rows) * upper.inverse()
+
+
+@given(repeated_factor_matrices())
+def test_complete_jc_with_a_repeated_quadratic_factor(drawn):
+    """The clauses hold, f keeps multiplicity 2, and by the oracles' own
+    arithmetic S has a squarefree minimal polynomial and N^n = 0."""
+    field, f, m = drawn
+    dec = complete_jc(m)
+    assert verify_complete_jc(m, dec).passed
+    assert (f, 2) in [(d.poly, d.multiplicity) for d in dec.factor_data]
+    s_minpoly = oracles.oracle_minimal_polynomial(field, dec.semisimple.rows)
+    assert oracles.is_squarefree(field, s_minpoly)
+    n = m.n
+    assert oracles.mat_powers(field, dec.nilpotent.rows, n)[n] == oracles.mat_zero(field, n)
+    assert not dec.nilpotent.is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ its docstring says.
 relations ``minimal_polynomial`` builds are counted by wrapping
 ``matrix._local_annihilator``: a dense matrix and a near-cyclic one each
 take one relation (degrees n and n - 1), two companion blocks take two
-nontrivial relations, of degrees n // 2 and n - n // 2.
+nontrivial relations, of degrees n // 2 and n - n // 2, and the repeated
+kind takes the relation f^2 of degree 2k, k = max(1, n // 4), and g of
+degree n - 2k when that is not 0.
 """
 
 import importlib.util
@@ -22,10 +24,17 @@ _SPEC = importlib.util.spec_from_file_location(
 ladder = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(ladder)
 
+
+def _repeated(n):
+    k = max(1, n // 4)
+    return [2 * k] + [n - 2 * k] * (n > 2 * k), n
+
+
 EXPECTED = {  # kind -> n -> (relation degrees, degree of the minimal polynomial)
     "dense": lambda n: ([n], n),
     "near_cyclic": lambda n: ([n - 1], n - 1),
     "two_blocks": lambda n: ([n // 2, n - n // 2], n),
+    "repeated": _repeated,
 }
 
 

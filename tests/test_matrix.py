@@ -371,6 +371,24 @@ def test_quadratic_entries_minimal_polynomial(field, rows, expected):
     assert got == oracles.oracle_minimal_polynomial(field, m.rows)
 
 
+@pytest.mark.parametrize(
+    "field, radicand, expected",
+    [(QQ, 2, [-2, 0, 1]), (PrimeField(7), 3, [4, 0, 1])],
+    ids=["Q-sqrt2", "F7-sqrt3"],
+)
+def test_minimal_polynomial_of_conjugate_diagonal_is_over_the_ground(
+        field, radicand, expected):
+    """diag(r, -r), r = sqrt(radicand) outside the field: the relations of
+    e_0 and e_1, X - r and X + r, are off the ground field, their product
+    X^2 - radicand is not.  diag(1, r) has (X - 1)(X - r), off it."""
+    r = quad_element(field, 0, 1, radicand)
+    got = minimal_polynomial(Matrix.diagonal(field, [r, -r]))
+    assert got == Polynomial(field, [field.from_int(c) for c in expected])
+    with pytest.raises(FieldMismatch) as refused:
+        minimal_polynomial(Matrix.diagonal(field, [field.one, r]))
+    assert str(refused.value) == "a Krylov relation has coefficients outside the ground field"
+
+
 @st.composite
 def structured_matrices(draw):
     """(field, m) over Q or F_7: P diag(B, B, C) P^-1, never cyclic, a
@@ -412,17 +430,16 @@ def structured_matrices(draw):
 
 @given(structured_matrices())
 def test_minimal_polynomial_of_structured_matrices_matches_oracle(drawn):
-    """Against the vectorization oracle; with quadratic entries a Krylov
-    relation off the ground field may raise FieldMismatch instead, and must
-    when the oracle's polynomial is off it."""
+    """Against the vectorization oracle; with quadratic entries it raises
+    FieldMismatch exactly when the oracle's polynomial is off the ground
+    field."""
     field, m = drawn
     oracle = oracles.oracle_minimal_polynomial(field, m.rows)
-    try:
-        got = list(minimal_polynomial(m).coeffs)
-    except FieldMismatch:
-        assert m.radical is not None
+    if not all(map(field.is_ground, oracle)):
+        with pytest.raises(FieldMismatch):
+            minimal_polynomial(m)
         return
-    assert got == oracle
+    assert list(minimal_polynomial(m).coeffs) == oracle
 
 
 # ---------------------------------------------------------------------------

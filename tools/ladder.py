@@ -24,7 +24,12 @@ the companion matrix of f and P is unit upper triangular with entries in
 - ``two_blocks``: P diag(C(f), C(g)) P^-1 with f, g monic, coprime, of
   degrees n // 2 and n - n // 2 with small random coefficients: e_0 gives
   f, and e_{n // 2} leaves f(M) e_{n // 2} != 0 with relation g, so the
-  minimal polynomial f g needs two nontrivial relations.
+  minimal polynomial f g needs two nontrivial relations;
+- ``repeated``: P diag(C(f^2), C(g)) P^-1 with f monic irreducible of
+  degree k = max(1, n // 4) and g monic of degree n - 2k prime to f (no
+  block when n = 2k), small random coefficients: the factor f has
+  multiplicity 2, so its Hensel root in K[X]/(f^2) is not X; e_0 gives f^2
+  and e_{2k} the relation g.
 
 Every call runs under a ``TIMEOUT_S`` alarm; a call past it is recorded as
 ``"timeout"`` and never dropped, and a layer whose input timed out is
@@ -47,7 +52,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("minimal_polynomial", "factor", "complete_jc", "verify_complete_jc")
 FIELDS = ("Q", "Fp:1009")
-KINDS = ("dense", "near_cyclic", "two_blocks")
+KINDS = ("dense", "near_cyclic", "two_blocks", "repeated")
 FULL_SIZES = range(2, 25)
 MINPOLY_SIZES = (32, 40)
 SEEDS = 5
@@ -58,7 +63,7 @@ def build(field, kind: str, n: int, rng):
     """The seeded n x n matrix of one kind, from the finefrob first on sys.path."""
     from fractions import Fraction
 
-    from finefrob import Matrix, Polynomial
+    from finefrob import Matrix, Polynomial, factor
     from finefrob.poly import poly_gcd
 
     if kind == "dense":
@@ -71,15 +76,27 @@ def build(field, kind: str, n: int, rng):
     def monic(d):
         return Polynomial(field, [rng.randint(-3, 3) for _ in range(d)] + [1])
 
+    def prime_to(f, d):
+        g = monic(d)
+        while poly_gcd(f, g).degree:
+            g = monic(d)
+        return g
+
     if kind == "near_cyclic":
         r = rng.randint(-5, 5)
         blocks = [Matrix.companion(Polynomial(field, [-r, 1]) * monic(n - 2)),
                   Matrix(field, [[r]])]
+    elif kind == "two_blocks":
+        f = monic(n // 2)
+        blocks = [Matrix.companion(f), Matrix.companion(prime_to(f, n - n // 2))]
     else:
-        f, g = monic(n // 2), monic(n - n // 2)
-        while poly_gcd(f, g).degree:
-            g = monic(n - n // 2)
-        blocks = [Matrix.companion(f), Matrix.companion(g)]
+        k = max(1, n // 4)
+        f = monic(k)
+        while factor(f).factors != ((f, 1),):
+            f = monic(k)
+        blocks = [Matrix.companion(f * f)]
+        if n > 2 * k:
+            blocks.append(Matrix.companion(prime_to(f, n - 2 * k)))
     rows, at = [[0] * n for _ in range(n)], 0
     for b in blocks:
         for i, row in enumerate(b.rows):
