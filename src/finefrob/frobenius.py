@@ -32,9 +32,9 @@ from .errors import (
     UnorderedGroundField,
     ZeroMatrix,
 )
-from .jordan_chevalley import crt_projectors
-from .matrix import Matrix, Spectrum, spectrum
-from .poly import quad_factor_data
+from .jordan_chevalley import _idempotents
+from .matrix import Matrix, Spectrum, eval_polys_at_matrix, spectrum
+from .poly import Polynomial, quad_factor_data
 from .report import VerificationReport
 
 __all__ = [
@@ -142,18 +142,28 @@ def fine_frobenius(m: Matrix) -> FineFrobenius:
 
 
 def fine_from_spectrum(m: Matrix, spectral: Spectrum) -> FineFrobenius:
-    """``fine_frobenius`` of a nonzero ground-field M from M's spectrum."""
+    """``fine_frobenius`` of a nonzero ground-field M from M's spectrum.
+
+    Each projector is e_i(M), e_i the CRT idempotent, and each vertical
+    covariant (M - alpha I) P is ((X - alpha) e_i mod mu)(M): all of them are
+    read off one table of the powers of M.
+    """
     field = m.field
     components = spectral_components(spectral)
-    projectors = crt_projectors(spectral.factorization, m)
-    ident = Matrix.identity(field, m.n)
+    idempotents = _idempotents(spectral.factorization, field)
+    verticals = [
+        Polynomial(field, [-alpha, field.one]) * e % spectral.minpoly
+        for (alpha, n), e in zip(components, idempotents)
+        if n != field.zero
+    ]
+    projectors = eval_polys_at_matrix(idempotents + verticals, m)
+    verticals = iter(projectors[len(idempotents) :])
     kernel = Matrix.zeros(field, m.n)
     linear = []
     quadratic = []
     for (alpha, n), proj in zip(components, projectors):
         if n != field.zero:
-            vertical = (m - ident.scale(alpha)) * proj
-            quadratic.append(QuadCovariant(alpha, n, vertical, proj))
+            quadratic.append(QuadCovariant(alpha, n, next(verticals), proj))
         elif alpha != field.zero:
             linear.append(LinearCovariant(alpha, proj))
         else:

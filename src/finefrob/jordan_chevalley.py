@@ -41,8 +41,14 @@ from .matrix import (
 from .poly import (
     Factorization,
     Polynomial,
+    _add,
+    _derivative,
+    _divmod,
+    _mul,
+    _reduced,
+    _values,
+    _xgcd,
     factor,  # unused here; perfbench's tracer test patches jordan_chevalley.factor
-    poly_xgcd,
     reduced_form,
     squarefree_part,
     k_projection_of_factor,
@@ -95,12 +101,11 @@ class CompleteJC:
         return self.horizontal + self.vertical
 
 
-def _eval_mod(f: Polynomial, x: Polynomial, modulus: Polynomial) -> Polynomial:
-    """f(x) mod modulus by Horner with reduction at each step."""
-    field = f.field
-    acc = Polynomial.zero(field)
-    for c in reversed(f.coeffs):
-        acc = (acc * x + Polynomial.constant(field, c)) % modulus
+def _eval_mod(f, x, modulus, p) -> list:
+    """f(x) mod modulus on coefficient lists, by Horner with a reduction at each step."""
+    acc = []
+    for c in reversed(f):
+        acc = _divmod(_add(_mul(acc, x), (c,), p), modulus, p)[1]
     return acc
 
 
@@ -140,33 +145,41 @@ def _newton_root(f: Polynomial, modulus: Polynomial) -> Polynomial:
     exact annihilation f(x) = 0, the certificate, is reached in at most
     log2(max multiplicity) + 1 steps.
     """
-    deriv = f.derivative()
-    x = Polynomial.x(f.field) % modulus
+    p, f_values, m = _values(f, modulus)
+    deriv = _derivative(f_values, p)
+    x = _divmod((0, 1), m, p)[1]
     for _ in range(_NEWTON_CAP):
-        fx = _eval_mod(f, x, modulus)
-        if fx.is_zero:
-            return x
-        g, u, _ = poly_xgcd(_eval_mod(deriv, x, modulus), modulus)
-        if g.degree != 0:  # pragma: no cover - f is separable
+        fx = _eval_mod(f_values, x, m, p)
+        if not fx:
+            return Polynomial._of(f.field, p, x)
+        g, u = _xgcd(_eval_mod(deriv, x, m, p), m, p)
+        if len(g) != 1:  # pragma: no cover - f is separable
             raise NoModularInverse("f'(x) is not invertible modulo the modulus")
-        x = (x - fx * u) % modulus
+        x = _divmod(_add(x, _mul(fx, u), p, -1), m, p)[1]
     raise ArithmeticError("Newton iteration failed to terminate")  # pragma: no cover
 
 
 def _idempotents(fact: Factorization, field) -> list[Polynomial]:
     """CRT idempotents e_i = u_i * (m / m_i^mu_i) mod m of K[X]/(m), m the
-    expanded factorization and u_i the inverse of the complementary product
-    modulo m_i^mu_i: they sum to 1, are pairwise orthogonal and have degree
-    below deg m."""
-    modulus = fact.expand(field)
+    product of the primaries m_i^mu_i and u_i the inverse of the
+    complementary product modulo m_i^mu_i: they sum to 1, are pairwise
+    orthogonal and have degree below deg m.  They are computed on coefficient
+    lists, and each becomes a Polynomial once."""
+    p, *factors = _values(*(h for h, _ in fact.factors))
+    primaries, modulus = [], [1]
+    for h, (_, mult) in zip(factors, fact.factors):
+        primary = [1]
+        for _ in range(mult):
+            primary = _reduced(_mul(primary, h), p)
+        primaries.append(primary)
+        modulus = _reduced(_mul(modulus, primary), p)
     idempotents = []
-    for h, mult in fact.factors:
-        primary = h**mult
-        complement = modulus // primary
-        g, u, _ = poly_xgcd(complement, primary)
-        if g.degree != 0:  # pragma: no cover - factors are coprime
+    for primary in primaries:
+        complement = _divmod(modulus, primary, p)[0]
+        g, u = _xgcd(complement, primary, p)
+        if len(g) != 1:  # pragma: no cover - factors are coprime
             raise NoModularInverse("CRT moduli are not coprime")
-        idempotents.append((u * complement) % modulus)
+        idempotents.append(Polynomial._of(field, p, _divmod(_mul(u, complement), modulus, p)[1]))
     return idempotents
 
 

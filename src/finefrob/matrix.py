@@ -404,9 +404,8 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
     if p is None and not all(map(field.is_ground, mu)):
         raise FieldMismatch("a Krylov relation has coefficients outside the ground field")
     if p == 0:  # monic, and X -> dX
-        return Polynomial(field, [Fraction(c, mu[-1] * d ** (len(mu) - 1 - k))
-                                  for k, c in enumerate(mu)])
-    return Polynomial(field, mu)
+        mu = [Fraction(c, mu[-1] * d ** (len(mu) - 1 - k)) for k, c in enumerate(mu)]
+    return Polynomial(field, mu) if p is None else Polynomial._of(field, p, mu)
 
 
 def _local_annihilator(a, start: list, p, one=1) -> list:

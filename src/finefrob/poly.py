@@ -30,6 +30,18 @@ Factorization is complete for both supported ground fields:
 
 A hard degree cap keeps the recombination bounded; factors are returned in a
 canonical order so downstream results are deterministic.
+
+Arithmetic runs on coefficient lists, constant first, as ``_values`` gives
+them: int residues over F_p, Fractions over Q.  There is one kernel per job,
+``_mul``, ``_divmod``, ``_gcd``, ``_xgcd`` (which gives the inverse modulo m)
+and ``_powmod``; the ring operators of ``Polynomial``, ``poly_gcd``,
+``poly_xgcd`` and ``poly_powmod`` are thin wrappers over them that build one
+``Polynomial`` per result, through ``Polynomial._of``, which coerces nothing.
+Factoring over F_p (Cantor-Zassenhaus with the p-th-root descent), the
+squarefree certificate modulo a prime, and the modular factors and Hensel
+lifts of Zassenhaus' algorithm stay on the lists from start to end: ``factor``
+builds a ``Polynomial`` only for each factor it returns.  The Newton and CRT
+routines of ``jordan_chevalley`` use the same kernels.
 """
 
 from __future__ import annotations
@@ -39,6 +51,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import (
     BothZero,
@@ -52,7 +65,7 @@ from .errors import (
     Reducible,
     ZeroPolynomial,
 )
-from .scalar import QQ, PrimeField, is_k_regular_degree, is_probable_prime
+from .scalar import QQ, FpElement, is_k_regular_degree, is_probable_prime
 
 __all__ = [
     "Polynomial",
@@ -87,6 +100,15 @@ class Polynomial:
         self.coeffs = tuple(cs)
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def _of(cls, field, p, values) -> "Polynomial":
+        """From a kernel's trimmed list, p as ``_values`` gave it: each residue
+        made an ``FpElement`` once, Fractions kept, nothing coerced again."""
+        f = object.__new__(cls)
+        f.field = field
+        f.coeffs = tuple(map(FpElement, values, [p] * len(values)) if p else map(QQ.coerce, values))
+        return f
 
     @classmethod
     def zero(cls, field) -> "Polynomial":
@@ -133,11 +155,10 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        lc = self.leading
-        if lc == self.field.one:
+        if self.leading == self.field.one:
             return self
-        inv = self.field.one / lc
-        return Polynomial(self.field, [c * inv for c in self.coeffs])
+        p, a = _values(self)
+        return Polynomial._of(self.field, p, _monic(a, p))
 
     # -- ring operations -----------------------------------------------------
 
@@ -149,28 +170,25 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.field, [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
+        p, a, b = _values(self, other)
+        return Polynomial._of(self.field, p, _add(a, b, p))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.field, [self.coeff(i) - other.coeff(i) for i in range(n)]
-        )
+        p, a, b = _values(self, other)
+        return Polynomial._of(self.field, p, _add(a, b, p, -1))
 
     def __neg__(self):
-        return Polynomial(self.field, [-c for c in self.coeffs])
+        p, a = _values(self)
+        return Polynomial._of(self.field, p, _reduced([-c for c in a], p))
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check(other)
-            _, a, b = _values(self, other)
-            return Polynomial(self.field, _mul(a, b))
+            p, a, b = _values(self, other)
+            return Polynomial._of(self.field, p, _reduced(_mul(a, b), p))
         try:
             c = self.field.coerce(other)
         except (TypeError, FieldMismatch):
@@ -185,20 +203,8 @@ class Polynomial:
         self._check(other)
         if other.is_zero:
             raise DivisionByZeroPoly("polynomial division by zero")
-        p, rem, b = _values(self, other)
-        rem = list(rem)
-        dd = other.degree
-        inv = pow(b[-1], -1, p) if p else 1 / b[-1]
-        q = [0] * max(len(rem) - dd, 1)
-        # the top coefficient is reduced when it is read; the rest once, by Polynomial()
-        for k in range(len(rem) - 1 - dd, -1, -1):
-            lead = rem.pop()
-            if p:
-                lead %= p
-            if lead:
-                q[k] = lead * inv % p if p else lead * inv
-                rem[k : k + dd] = [r - q[k] * e for r, e in zip(rem[k:], b)]
-        return Polynomial(self.field, q), Polynomial(self.field, rem)
+        p, a, b = _values(self, other)
+        return tuple(Polynomial._of(self.field, p, v) for v in _divmod(a, b, p))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -219,10 +225,8 @@ class Polynomial:
         return result
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(
-            self.field,
-            [self.field.from_int(i) * c for i, c in enumerate(self.coeffs)][1:],
-        )
+        p, a = _values(self)
+        return Polynomial._of(self.field, p, _derivative(a, p))
 
     def __call__(self, x):
         """Evaluate at a ground or quadratic-extension scalar (Horner)."""
@@ -270,13 +274,48 @@ class Polynomial:
 
 
 def _values(*polys):
-    """(p, the coefficients of each poly) to compute on: p and int residues
-    over F_p, else 0 and the elements themselves.  Results go back through
-    ``Polynomial()``, which reduces residues mod p once each."""
+    """(p, the coefficients of each poly) for the kernels: p and int residues in
+    [0, p) over F_p, else 0 and the Fractions themselves.  A kernel result
+    becomes a ``Polynomial`` through ``Polynomial._of``."""
     p = polys[0].field.characteristic
     if p:
         return (p, *([c.residue for c in f.coeffs] for f in polys))
     return (0, *(f.coeffs for f in polys))
+
+
+# ---------------------------------------------------------------------------
+# kernels on coefficient lists, constant first: int residues over F_p (p > 0),
+# Fractions over Q (p = 0), where an int may stand for a value it equals
+# ---------------------------------------------------------------------------
+
+def _reduced(a, p) -> list:
+    """a as a new list, reduced mod p over F_p, without trailing zeros."""
+    a = [c % p for c in a] if p else list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _inv(c, p):
+    return pow(c, -1, p) if p else Fraction(1) / c
+
+
+def _scale(a, c, p) -> list:
+    """c a for a nonzero c."""
+    return [c * x % p for x in a] if p else [c * x for x in a]
+
+
+def _monic(a, p) -> list:
+    return _scale(a, _inv(a[-1], p), p)
+
+
+def _add(a, b, p, sign=1) -> list:
+    """a + sign b, reduced and trimmed."""
+    return _reduced([x + sign * y for x, y in zip_longest(a, b, fillvalue=0)], p)
+
+
+def _derivative(a, p) -> list:
+    return _reduced([i * c for i, c in enumerate(a)][1:], p)
 
 
 def _mul(a, b) -> list:
@@ -288,36 +327,78 @@ def _mul(a, b) -> list:
     return out
 
 
+def _divmod(a, b, p) -> tuple[list, list]:
+    """(quotient, remainder) of a by a nonzero trimmed b, both reduced and
+    trimmed; over F_p, a may be unreduced."""
+    rem = list(a)
+    dd = len(b) - 1
+    inv = _inv(b[-1], p)
+    quo = [0] * max(len(rem) - dd, 0)
+    # the top coefficient is reduced when it is read, the rest once at the end
+    for k in range(len(rem) - 1 - dd, -1, -1):
+        lead = rem.pop()
+        if p:
+            lead %= p
+        if lead:
+            c = quo[k] = lead * inv % p if p else lead * inv
+            rem[k : k + dd] = [r - c * e for r, e in zip(rem[k:], b)]
+    return _reduced(quo, p), _reduced(rem, p)
+
+
+def _gcd(a, b, p) -> list:
+    """The monic gcd (Euclid); BothZero on gcd(0, 0)."""
+    if not a and not b:
+        raise BothZero("gcd(0, 0) is undefined")
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p)
+
+
+def _xgcd(a, b, p) -> tuple[list, list]:
+    """(d, u): d the monic gcd and u a = d modulo b, so u is the inverse of a
+    modulo b when d = 1; BothZero on gcd(0, 0)."""
+    if not a and not b:
+        raise BothZero("gcd(0, 0) is undefined")
+    u0, u1 = [1], []
+    while b:
+        q, r = _divmod(a, b, p)
+        a, b = b, r
+        u0, u1 = u1, _add(u0, _mul(q, u1), p, -1)
+    inv = _inv(a[-1], p)
+    return _scale(a, inv, p), _scale(u0, inv, p)
+
+
+def _powmod(a, e: int, m, p) -> list:
+    """a^e modulo a nonzero m (square and multiply); 1 when e = 0."""
+    result = [1]
+    acc = _divmod(a, m, p)[1]
+    while e:
+        if e & 1:
+            result = _divmod(_mul(result, acc), m, p)[1]
+        e >>= 1
+        if e:
+            acc = _divmod(_mul(acc, acc), m, p)[1]
+    return result
+
+
 # ---------------------------------------------------------------------------
 # gcd family
 # ---------------------------------------------------------------------------
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd; raises BothZero on gcd(0, 0)."""
-    if f.is_zero and g.is_zero:
-        raise BothZero("gcd(0, 0) is undefined")
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    f._check(g)
+    p, a, b = _values(f, g)
+    return Polynomial._of(f.field, p, _gcd(a, b, p))
 
 
 def poly_xgcd(f: Polynomial, g: Polynomial):
     """Extended gcd: returns (d, u, v) with u*f + v*g = d, d monic."""
-    if f.is_zero and g.is_zero:
-        raise BothZero("gcd(0, 0) is undefined")
-    field = f.field
-    r0, r1 = f, g
-    u0, u1 = Polynomial.one(field), Polynomial.zero(field)
-    v0, v1 = Polynomial.zero(field), Polynomial.one(field)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    lc = r0.leading
-    inv = field.one / lc
-    return inv * r0, inv * u0, inv * v0
+    f._check(g)
+    p, a, b = _values(f, g)
+    d, u = _xgcd(a, b, p)
+    v = _divmod(_add(d, _mul(u, a), p, -1), b, p)[0] if b else []
+    return tuple(Polynomial._of(f.field, p, w) for w in (d, u, v))
 
 
 def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -328,14 +409,11 @@ def poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def poly_powmod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
     """base**e reduced modulo mod (square and multiply)."""
-    result = Polynomial.one(base.field)
-    acc = base % mod
-    while e:
-        if e & 1:
-            result = result * acc % mod
-        acc = acc * acc % mod
-        e >>= 1
-    return result
+    base._check(mod)
+    if mod.is_zero:
+        raise DivisionByZeroPoly("polynomial division by zero")
+    p, a, m = _values(base, mod)
+    return Polynomial._of(base.field, p, _powmod(a, e, m, p))
 
 
 # ---------------------------------------------------------------------------
@@ -399,26 +477,25 @@ def factor(f: Polynomial) -> Factorization:
 
 def _factor_q(f: Polynomial) -> dict[Polynomial, int]:
     """Factor a monic polynomial over Q (degree >= 1)."""
-    out, rem = _multiplicities(f, _factor_squarefree_q(squarefree_part(f)))
-    if rem.degree != 0:
+    irreducibles = _factor_squarefree_q(squarefree_part(f))
+    mults, rem = _multiplicities(f.coeffs, [h.coeffs for h in irreducibles], 0)
+    if len(rem) != 1:
         raise FactorizationFailed("incomplete factor set")  # pragma: no cover
-    return out
+    return dict(zip(irreducibles, mults))
 
 
-def _multiplicities(f: Polynomial, irreducibles):
-    """({h: multiplicity of h in f}, the cofactor of f left by the irreducibles)."""
-    out: dict[Polynomial, int] = {}
-    rem = f
+def _multiplicities(f, irreducibles, p):
+    """(the multiplicity in f of each irreducible, the cofactor of f they leave)."""
+    mults = []
     for h in irreducibles:
         e = 0
         while True:
-            q, r = divmod(rem, h)
-            if not r.is_zero:
+            q, r = _divmod(f, h, p)
+            if r:
                 break
-            rem = q
-            e += 1
-        out[h] = e
-    return out, rem
+            f, e = q, e + 1
+        mults.append(e)
+    return mults, f
 
 
 def _factor_squarefree_q(f: Polynomial) -> list[Polynomial]:
@@ -439,7 +516,7 @@ def _factor_squarefree_q(f: Polynomial) -> list[Polynomial]:
     if f.degree <= 3:
         out.append(f)  # no rational roots, so degrees 1..3 are settled
         return out
-    out.extend(_monic(h) for h in _zassenhaus(_clear_denominators(f)))
+    out.extend(Polynomial._of(QQ, 0, _monic(h, 0)) for h in _zassenhaus(_clear_denominators(f)))
     return out
 
 
@@ -455,11 +532,6 @@ def _primitive(ints: list[int]) -> list[int]:
     if ints[-1] < 0:
         content = -content
     return [c // content for c in ints]
-
-
-def _monic(int_coeffs: list[int]) -> Polynomial:
-    lc = int_coeffs[-1]
-    return Polynomial(QQ, [Fraction(c, lc) for c in int_coeffs])
 
 
 def _rational_roots(coeffs: list[int]):
@@ -513,8 +585,7 @@ def _zassenhaus(coeffs: list[int]) -> list[list[int]]:
     modular = _modular_factors(coeffs)
     if modular is None:
         return [coeffs]
-    allowed, factors = modular
-    p = factors[0].field.characteristic
+    allowed, p, factors = modular
     # a factor g of degree < deg has coefficients at most 2^(deg-1) ||coeffs||_2
     # (Landau-Mignotte); a subset of lifted factors gives (lc / lc(g)) g, which
     # its residues in [-modulus/2, modulus/2] recover once modulus > 2 lc times that
@@ -523,11 +594,12 @@ def _zassenhaus(coeffs: list[int]) -> list[list[int]]:
     modulus = p
     while modulus <= bound:
         modulus *= p
-    return _recombine(coeffs, _hensel_lift(coeffs, factors, modulus), modulus, allowed)
+    return _recombine(coeffs, _hensel_lift(coeffs, factors, p, modulus), modulus, allowed)
 
 
-def _modular_factors(coeffs: list[int]) -> tuple[set[int], list[Polynomial]] | None:
-    """Degrees a rational factor can have, and the factors modulo one prime.
+def _modular_factors(coeffs: list[int]) -> tuple[set[int], int, list[tuple]] | None:
+    """Degrees a rational factor can have, a prime p, and the monic factors
+    modulo p, as residue tuples.
 
     Returns None when the polynomial is certified irreducible: by some
     modular image, or because no proper degree survives.  Every rational
@@ -538,7 +610,7 @@ def _modular_factors(coeffs: list[int]) -> tuple[set[int], list[Polynomial]] | N
     """
     deg = len(coeffs) - 1
     allowed = set(range(deg + 1))
-    fewest = None
+    fewest, fewest_p = None, 0
     good = 0
     q = 1
     # the primes 3..47 with a budget of 3 good ones; past 47 only until one is
@@ -548,8 +620,8 @@ def _modular_factors(coeffs: list[int]) -> tuple[set[int], list[Polynomial]] | N
         fq = _squarefree_mod(coeffs, q) if is_probable_prime(q) else None
         if fq is None:
             continue
-        factors = list(_factor_fp(fq.monic(), random.Random(q)))
-        degs = [h.degree for h in factors]
+        factors = list(_factor_residues(_monic(fq, q), q, random.Random(q)))
+        degs = [len(h) - 1 for h in factors]
         if degs == [deg]:
             return None
         mask = 1
@@ -557,42 +629,40 @@ def _modular_factors(coeffs: list[int]) -> tuple[set[int], list[Polynomial]] | N
             mask |= mask << d
         allowed &= {d for d in range(deg + 1) if (mask >> d) & 1}
         if fewest is None or len(factors) < len(fewest):
-            fewest = factors
+            fewest, fewest_p = factors, q
         good += 1
     if not any(2 <= d <= deg - 2 for d in allowed):
         return None
-    return allowed, fewest
+    return allowed, fewest_p, fewest
 
 
-def _squarefree_mod(coeffs: list[int], q: int) -> Polynomial | None:
-    """f mod the prime q, for the primitive integer coefficients of f, when q
-    does not divide the leading coefficient and f mod q is squarefree, which
-    certifies that f is squarefree over Q; else None."""
+def _squarefree_mod(coeffs: list[int], q: int) -> list[int] | None:
+    """The residues of f mod the prime q, for the primitive integer
+    coefficients of f, when q does not divide the leading coefficient and f
+    mod q is squarefree, which certifies that f is squarefree over Q; else None."""
     if coeffs[-1] % q == 0:
         return None
-    fq = Polynomial(PrimeField(q), coeffs)
-    return fq if poly_gcd(fq, fq.derivative()).degree == 0 else None
+    fq = [c % q for c in coeffs]
+    return fq if len(_gcd(fq, _derivative(fq, q), q)) == 1 else None
 
 
-def _hensel_lift(coeffs: list[int], factors: list[Polynomial], modulus: int) -> list[list[int]]:
+def _hensel_lift(coeffs: list[int], factors: list, p: int, modulus: int) -> list[list[int]]:
     """Monic lifts modulo `modulus`, a power of p, of the monic factors of
     coeffs modulo p, one p-adic digit per step (linear multifactor lifting)."""
-    field = factors[0].field
-    p = field.characteristic
-    fp = Polynomial(field, [field.from_int(c) for c in coeffs])
+    fp = [c % p for c in coeffs]
     # with s_u the inverse of f/u modulo u, the corrections s_u e mod u of
     # the factors u sum (times f/u) to any e of degree < deg f
-    inverses = [poly_xgcd(fp // u, u)[1] for u in factors]
-    lifted = [[c.residue for c in u.coeffs] for u in factors]
+    inverses = [_xgcd(_divmod(fp, u, p)[0], u, p)[1] for u in factors]
+    lifted = [list(u) for u in factors]
     m = p
     while m < modulus:
         prod = [coeffs[-1]]
         for u in lifted:
             prod = _mul(prod, u)
-        e = Polynomial(field, [(c - d) % (m * p) // m for c, d in zip(coeffs, prod)])
+        e = [(c - d) % (m * p) // m for c, d in zip(coeffs, prod)]
         for u, s, lift in zip(factors, inverses, lifted):
-            for j, d in enumerate((s * e % u).coeffs):
-                lift[j] += m * d.residue
+            for j, d in enumerate(_divmod(_mul(s, e), u, p)[1]):
+                lift[j] += m * d
         m *= p
     return lifted
 
@@ -639,70 +709,65 @@ def _recombine(f: list[int], lifted: list[list[int]], m: int, allowed: set[int])
 # -- over F_p ----------------------------------------------------------------
 
 def _factor_fp(f: Polynomial, rng: random.Random) -> dict[Polynomial, int]:
-    """Factor a monic polynomial over F_p (degree >= 1)."""
-    field = f.field
-    p = field.characteristic
-    if f.degree == 0:
-        return {}
-    deriv = f.derivative()
-    if deriv.is_zero:
+    """Factor a monic polynomial over F_p (degree >= 1): one Polynomial per factor."""
+    p, a = _values(f)
+    return {Polynomial._of(f.field, p, h): e for h, e in _factor_residues(a, p, rng).items()}
+
+
+def _factor_residues(f, p: int, rng: random.Random) -> dict[tuple, int]:
+    """{monic irreducible factor: multiplicity} of monic residues f of degree >= 1."""
+    deriv = _derivative(f, p)
+    if not deriv:
         # f(X) = g(X)^p with g picking every p-th coefficient (c^(1/p) = c in F_p)
-        g = Polynomial(field, f.coeffs[::p])
-        return {h: e * p for h, e in _factor_fp(g, rng).items()}
-    sep = (f // poly_gcd(f, deriv)).monic()
-    out, rem = _multiplicities(f, _distinct_degree_split(sep, rng))
-    if rem.degree > 0:
-        for h, e in _factor_fp(rem.monic(), rng).items():
+        return {h: e * p for h, e in _factor_residues(f[::p], p, rng).items()}
+    irreducibles = _distinct_degree_split(_divmod(f, _gcd(f, deriv, p), p)[0], p, rng)
+    mults, rem = _multiplicities(f, irreducibles, p)
+    out = {tuple(h): e for h, e in zip(irreducibles, mults)}
+    if len(rem) > 1:
+        for h, e in _factor_residues(rem, p, rng).items():
             out[h] = out.get(h, 0) + e
     return out
 
 
-def _distinct_degree_split(f: Polynomial, rng: random.Random) -> list[Polynomial]:
-    """Irreducible factors of a monic squarefree polynomial over F_p."""
-    field = f.field
-    p = field.characteristic
-    out: list[Polynomial] = []
-    x = Polynomial.x(field)
-    h = x % f
+def _distinct_degree_split(f: list, p: int, rng: random.Random) -> list[list]:
+    """Irreducible factors of monic squarefree residues f."""
+    out = []
+    x = [0, 1]
+    h = _divmod(x, f, p)[1]
     d = 0
-    while f.degree >= 1:
+    while len(f) > 1:
         d += 1
-        if 2 * d > f.degree:
+        if 2 * d > len(f) - 1:
             out.append(f)
             break
-        h = poly_powmod(h, p, f)
-        g = poly_gcd(h - x, f)
-        if g.degree > 0:
-            out.extend(_equal_degree_split(g, d, rng))
-            f = (f // g).monic()
-            h = h % f
+        h = _powmod(h, p, f, p)
+        g = _gcd(_add(h, x, p, -1), f, p)
+        if len(g) > 1:
+            out.extend(_equal_degree_split(g, d, p, rng))
+            f = _divmod(f, g, p)[0]
+            h = _divmod(h, f, p)[1]
     return out
 
 
-def _equal_degree_split(g: Polynomial, d: int, rng: random.Random) -> list[Polynomial]:
-    """Split a product of distinct degree-d irreducibles (Cantor-Zassenhaus)."""
-    field = g.field
-    p = field.characteristic
-    if g.degree == d:
-        return [g.monic()]
+def _equal_degree_split(g: list, d: int, p: int, rng: random.Random) -> list[list]:
+    """Split monic residues g, a product of distinct degree-d irreducibles
+    (Cantor-Zassenhaus)."""
+    if len(g) - 1 == d:
+        return [g]
     exp = (p**d - 1) // 2
-    one = Polynomial.one(field)
     while True:
-        w = Polynomial(field, [field.from_int(rng.randrange(p)) for _ in range(g.degree)])
-        if w.degree < 1:
+        w = _reduced([rng.randrange(p) for _ in range(len(g) - 1)], p)
+        if len(w) < 2:
             continue
-        shared = poly_gcd(w, g)
-        if 0 < shared.degree < g.degree:
+        shared = _gcd(w, g, p)
+        if 1 < len(shared) < len(g):
             left = shared
         else:
-            c = poly_powmod(w, exp, g)
-            left = poly_gcd(c - one, g)
-            if not 0 < left.degree < g.degree:
+            left = _gcd(_add(_powmod(w, exp, g, p), [1], p, -1), g, p)
+            if not 1 < len(left) < len(g):
                 continue
-        right = (g // left).monic()
-        return _equal_degree_split(left.monic(), d, rng) + _equal_degree_split(
-            right, d, rng
-        )
+        right = _divmod(g, left, p)[0]
+        return _equal_degree_split(left, d, p, rng) + _equal_degree_split(right, d, p, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +790,8 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     if f.field.characteristic == 0:
         if _squarefree_mod(_clear_denominators(f), SQUAREFREE_PRIME) is not None:
             return f.monic()
-        return (f // poly_gcd(f, f.derivative())).monic()
+        a = f.coeffs
+        return Polynomial._of(f.field, 0, _monic(_divmod(a, _gcd(a, _derivative(a, 0), 0), 0)[0], 0))
     return factor(f).radical(f.field)
 
 

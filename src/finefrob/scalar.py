@@ -179,6 +179,18 @@ def padic_valuation(x, p: int):
 # ground fields
 # ---------------------------------------------------------------------------
 
+def _int_literal(s):
+    """int(s) for a string that int reads, else None.  Fraction reads every
+    such string as the same value, about twenty times slower; every literal
+    finefrob prints is one."""
+    if isinstance(s, str):
+        try:
+            return int(s)
+        except ValueError:
+            pass
+    return None
+
+
 class RationalField:
     """The rational numbers, with Fraction as the element type."""
 
@@ -207,6 +219,9 @@ class RationalField:
         return isinstance(x, (Fraction, int))
 
     def parse(self, s: str) -> Fraction:
+        k = _int_literal(s)
+        if k is not None:
+            return Fraction(k)
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
@@ -380,11 +395,14 @@ class PrimeField:
         return isinstance(x, int) or (isinstance(x, FpElement) and x.p == self.p)
 
     def parse(self, s: str) -> FpElement:
+        k = _int_literal(s)
+        if k is not None:
+            return FpElement(k, self.p)
         try:
             fr = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaMismatch(f"bad F_{self.p} literal {s!r}") from exc
-        if fr.denominator == 1:  # every literal finefrob prints: no inverse to take
+        if fr.denominator == 1:
             return FpElement(fr.numerator, self.p)
         if fr.denominator % self.p == 0:
             raise SchemaMismatch(f"literal {s!r} has denominator divisible by {self.p}")

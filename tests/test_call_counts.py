@@ -6,7 +6,8 @@ wrappers, and each CLI command is run once on a golden input.  A
 decomposition computes its matrix's spectral data once; the Newton route over
 Q factors nothing; ``check`` recomputes on its own and keeps its counts.
 The CRT projectors of a matrix share one table of its powers, and
-``complete_jc`` reads S and the projectors off one such table, counted by
+``complete_jc`` reads S and the projectors off one such table, as
+``fine_frobenius`` reads its projectors and vertical covariants, counted by
 wrapping the int product kernel ``matrix._product``; wrapping
 ``Matrix.__mul__`` counts the products each ``check`` takes and those of
 ``M**k``; ``check fine`` calls ``verify_fine`` once.
@@ -17,9 +18,12 @@ only at a cutoff whose first tail term is below the target, counted by
 wrapping ``series._tail_bound``.  ``main`` parses with the parser built at
 import and constructs no ``argparse.ArgumentParser`` of its own.
 ``squarefree_part`` over Q runs Euclid's algorithm only when its modular
-certificate fails, counted by wrapping ``poly_gcd`` by field.
+certificate fails, counted by wrapping the gcd kernel ``poly._gcd`` by modulus.
 ``minimal_polynomial`` multiplies Krylov relations and takes no gcd or lcm,
 counted by wrapping ``poly_gcd``, ``poly_lcm`` and ``matrix._local_annihilator``.
+Factoring over F_p runs on residue lists and builds a ``Polynomial`` only for
+each factor it returns, counted by wrapping ``Polynomial.__init__`` and
+``Polynomial._of``.
 """
 
 import argparse
@@ -252,6 +256,55 @@ def test_complete_jc_evaluates_at_m_once(m, degree, wanted, monkeypatch):
     assert verify_complete_jc(m, dec).passed
 
 
+def test_fine_frobenius_reads_verticals_off_the_power_table(monkeypatch):
+    """Projectors and vertical covariants come from one table I, M, ...,
+    M^(D-1): on diag(C(X^2 + 1), C(X^2 + 2), 3), D = 5, that is D - 2 int
+    products and none for the verticals (M - alpha I) P."""
+    blocks = [Matrix.companion(Polynomial(QQ, c)).rows for c in ([1, 0, 1], [2, 0, 1])]
+    m = _conjugated(QQ, blocks + [[[3]]])
+    products = collections.Counter()
+    original = finefrob.matrix._product
+
+    def counting(a, b):
+        products["mul"] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(finefrob.matrix, "_product", counting)
+    dec = finefrob.frobenius.fine_frobenius(m)
+    assert products["mul"] == 3
+    monkeypatch.undo()
+    assert len(dec.quadratic) == 2 and finefrob.frobenius.verify_fine(dec).passed
+    for cov in dec.quadratic:
+        shifted = m - Matrix.identity(QQ, m.n).scale(cov.alpha)
+        assert cov.vertical == shifted * cov.projector
+
+
+def test_factor_over_fp_builds_only_its_factors(monkeypatch):
+    """Over F_p every step of factoring runs on residue lists: ``factor`` of
+    g1 g2^2 g3^3 over F_7, with g1, g2, g3 monic irreducible, constructs one
+    Polynomial per factor it returns and no other."""
+    field = PrimeField(7)
+    g1, g2, g3 = (Polynomial(field, c) for c in ([1, 1], [1, 0, 1], [-2, 0, 0, 1]))
+    f = g1 * g2**2 * g3**3
+    built = collections.Counter()
+    init, of = Polynomial.__init__, Polynomial._of
+
+    def counting_init(self, *args):
+        built["init"] += 1
+        init(self, *args)
+
+    def counting_of(cls, *args):
+        built["of"] += 1
+        return of(*args)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    monkeypatch.setattr(Polynomial, "_of", classmethod(counting_of))
+    fact = finefrob.poly.factor(f)
+    monkeypatch.undo()
+    assert fact.factors == ((g1, 1), (g2, 2), (g3, 3))
+    assert (built["init"], built["of"]) == (0, 3)
+
+
 def test_quadratic_arithmetic_reduces_no_radicand(monkeypatch):
     x = quad_element(QQ, 1, 2, 6)
     y = quad_element(QQ, Fraction(-3, 4), 5, 6)
@@ -325,23 +378,24 @@ def test_main_builds_no_parser(monkeypatch, capsys):
 
 def test_squarefree_part_of_squarefree_minpoly_takes_no_gcd_over_q(monkeypatch):
     """The minimal polynomial of a dense rational 6x6, squarefree, is
-    certified modulo a prime; its square falls back to one gcd over Q."""
+    certified modulo a prime; its square falls back to one gcd over Q.  Every
+    gcd runs on the list kernel, counted by its modulus (0 over Q)."""
     m = Matrix(QQ, [[Fraction(3 * i - 2 * j + 1, (i * j) % 7 + 2) for j in range(6)]
                     for i in range(6)])
     mpoly = finefrob.matrix.minimal_polynomial(m)
     assert mpoly.degree == 6
     calls = collections.Counter()
-    original = finefrob.poly.poly_gcd
+    original = finefrob.poly._gcd
 
-    def counting(f, g):
-        calls[f.field.tag] += 1
-        return original(f, g)
+    def counting(a, b, p):
+        calls[p] += 1
+        return original(a, b, p)
 
-    monkeypatch.setattr(finefrob.poly, "poly_gcd", counting)
+    monkeypatch.setattr(finefrob.poly, "_gcd", counting)
     assert finefrob.poly.squarefree_part(mpoly) == mpoly
-    assert calls["Q"] == 0 and calls[f"Fp:{finefrob.poly.SQUAREFREE_PRIME}"] == 1
+    assert calls[0] == 0 and calls[finefrob.poly.SQUAREFREE_PRIME] == 1
     assert finefrob.poly.squarefree_part(mpoly * mpoly) == mpoly
-    assert calls["Q"] == 1
+    assert calls[0] == 1
 
 
 @pytest.mark.parametrize(

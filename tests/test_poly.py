@@ -33,7 +33,16 @@ from finefrob.errors import (
     Reducible,
     ZeroPolynomial,
 )
-from finefrob.poly import SQUAREFREE_PRIME, _clear_denominators, _factor_fp, _rational_roots
+from finefrob.poly import (
+    SQUAREFREE_PRIME,
+    _clear_denominators,
+    _factor_fp,
+    _gcd,
+    _rational_roots,
+    _values,
+    _xgcd,
+    poly_powmod,
+)
 from finefrob.scalar import is_probable_prime
 
 # a 126-bit semiprime: listing the divisors of a constant term like it means factoring it
@@ -453,6 +462,80 @@ def test_factor_fp_answer_is_independent_of_the_generator():
                 assert _factor_fp(f, random.Random(k)) == expected
 
 
+def _sympy_factors_mod(sympy, f):
+    """{monic irreducible factor: multiplicity} of f over F_p, by sympy, its
+    symmetric residues reduced mod p."""
+    field = f.field
+    poly = sympy.Poly([c.residue for c in reversed(f.coeffs)], sympy.Symbol("x"), modulus=field.p)
+    return {
+        Polynomial(field, [int(c) for c in reversed(g.all_coeffs())]).monic(): m
+        for g, m in poly.factor_list()[1]
+    }
+
+
+@given(
+    st.sampled_from((3, 5, 7, 1009)),
+    st.lists(
+        st.tuples(st.lists(st.integers(0, 1008), min_size=1, max_size=3),
+                  st.sampled_from((1, 2, 3, 5, 6, 7, 10))),
+        min_size=1,
+        max_size=4,
+    ),
+    st.booleans(),
+    st.integers(1, 1008),
+)
+def test_factor_fp_matches_sympy(p, parts, compose_x_p, lead):
+    """lead times products of random monic g_i, to multiplicities among them
+    multiples of p, and optionally composed with X^p, so that the p-th root
+    descent runs; parts that would pass the degree cap are left out."""
+    sympy = pytest.importorskip("sympy")
+    field = PrimeField(p)
+    f = fp(p, lead % p or 1)
+    for low, mult in parts:
+        g = fp(p, *low, 1) ** mult
+        if f.degree + g.degree <= FACTOR_DEGREE_CAP:
+            f = f * g
+    if compose_x_p and f.degree * p <= FACTOR_DEGREE_CAP:
+        f = f.compose(Polynomial(field, [0] * p + [1]))
+    fact = factor(f)
+    assert fact.unit == f.leading
+    assert dict(fact.factors) == _sympy_factors_mod(sympy, f)
+
+
+@st.composite
+def gcd_inputs(draw):
+    """(field, f, g) sharing a random factor, over Q or F_p; either may be zero."""
+    field = draw(st.sampled_from((QQ, PrimeField(3), PrimeField(7), PrimeField(1009))))
+    if field.characteristic:
+        values = st.integers(0, field.p - 1).map(field.from_int)
+    else:
+        values = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    f, g, common = (Polynomial(field, draw(st.lists(values, max_size=size)))
+                    for size in (6, 6, 4))
+    return field, f * common, g * common
+
+
+@given(gcd_inputs())
+def test_gcd_kernels_give_a_bezout_identity(drawn):
+    """d = u f + v g (products by the oracle) with d monic, and d divides f and
+    g; so d is their gcd.  The kernels' d and u are the wrappers'."""
+    field, f, g = drawn
+    if f.is_zero and g.is_zero:
+        with pytest.raises(BothZero):
+            poly_xgcd(f, g)
+        return
+    d, u, v = poly_xgcd(f, g)
+    p, a, b = _values(f, g)
+    assert _gcd(a, b, p) == list(_values(d)[1])
+    assert _xgcd(a, b, p) == (list(_values(d)[1]), list(_values(u)[1]))
+    assert d.is_monic and poly_gcd(f, g) == d
+    bezout = _oracle_add(field, oracles.poly_mul(field, list(u.coeffs), list(f.coeffs)),
+                         oracles.poly_mul(field, list(v.coeffs), list(g.coeffs)))
+    assert bezout == list(d.coeffs)
+    for h in (f, g):
+        assert oracles.poly_mul(field, list((h // d).coeffs), list(d.coeffs)) == list(h.coeffs)
+
+
 # ---------------------------------------------------------------------------
 # reduced form, splitting bound, quadratic data
 # ---------------------------------------------------------------------------
@@ -551,6 +634,17 @@ def test_fp_divmod_reconstructs(drawn):
     assert rem.degree < g.degree
     product = oracles.poly_mul(field, list(quotient.coeffs), list(g.coeffs))
     assert _oracle_add(field, product, rem.coeffs) == list(f.coeffs)
+
+
+@given(fp_polynomials(count=2), st.integers(0, 40))
+def test_fp_powmod_is_the_power_reduced(drawn, e):
+    field, (f, g) = drawn
+    if g.is_zero:
+        with pytest.raises(DivisionByZeroPoly):
+            poly_powmod(f, e, g)
+        return
+    expected = f**e % g if e else Polynomial.one(field)  # 1 even modulo a constant
+    assert poly_powmod(f, e, g) == expected
 
 
 @given(

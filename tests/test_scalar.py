@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from finefrob import (
     QQ,
@@ -256,6 +257,59 @@ def test_fp_parse_of_an_integer_literal_is_its_residue(literal):
     for bad in ("3/14", "1/0", "", "1.5e", "0x7"):
         with pytest.raises(SchemaMismatch):
             f7.parse(bad)
+
+
+def _fraction_parse(field, s):
+    """What ``parse`` gives when every literal goes through ``Fraction``, or
+    SchemaMismatch for a literal it rejects."""
+    try:
+        fr = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return SchemaMismatch
+    if field.characteristic == 0:
+        return fr
+    if fr.denominator % field.p == 0:
+        return SchemaMismatch
+    return field.from_int(fr.numerator) / field.from_int(fr.denominator)
+
+
+LITERAL_PIECES = (
+    "", " ", "\t", "\n", "\x1c", "\u3000", "+", "-", "_", "0", "7", "14", "1009",
+    "\u0663", "\u0e53", "\uff15", "5.0", ".5", "1e3", "1E-2", "/", "1/2", "7/7",
+    "1009/1009", "14/7", "e", "x", "0x1",
+)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7), PrimeField(1009)), ids=repr)
+@settings(max_examples=200)
+@given(
+    st.lists(st.sampled_from(LITERAL_PIECES), max_size=6).map("".join)
+    | st.text(alphabet="0123456789+-_ ./e\u0663", max_size=12)
+    | st.integers(4290, 4310).map(lambda n: "9" * n)
+    | st.integers(4290, 4310).map(lambda n: "-" + "1" * n + "/3"),
+)
+@example("_1")
+@example("1_")
+@example("1__0")
+@example(" -1_0\n")
+@example("\x1c7")
+@example("+\u0663")
+@example("7/7")
+@example("1009/1009")
+@example("9" * 4300)
+@example("9" * 4301)
+def test_parse_agrees_with_the_fraction_path(field, literal):
+    """A literal that ``int`` reads skips ``Fraction``; every literal gives
+    the element, or the SchemaMismatch, that ``Fraction`` gives: signs,
+    whitespace, underscores, Unicode digits, decimals, exponents, fractions,
+    p/p over F_p and literals past Python's 4,300-digit limit."""
+    expected = _fraction_parse(field, literal)
+    if expected is SchemaMismatch:
+        with pytest.raises(SchemaMismatch):
+            field.parse(literal)
+    else:
+        parsed = field.parse(literal)
+        assert parsed == expected and type(parsed) is type(expected)
 
 
 def test_fp_nonresidue_and_sqrt():
