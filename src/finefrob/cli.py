@@ -36,10 +36,11 @@ from .matrix import (
     minimal_polynomial,
 )
 from .poly import Polynomial, factor
-from .scalar import QQ, AbsValue, padic_valuation
+from .scalar import QQ, AbsValue
 from .series import (
     NAMED_SERIES,
     SeriesSpec,
+    _matrix_min_valuation,
     apply_series,
     domain_data,
     padic_truncation_bound,
@@ -439,20 +440,10 @@ def _check_apply_padic(m: Matrix, result, spec: SeriesSpec) -> dict:
     # search could run far past any cap
     if not terms and bound > padic_truncation_bound(m, spec, p, 0):
         return {"doubled_cutoff_within_bound": False}
-    doubled = apply_series(
-        m,
-        spec,
-        av,
-        precision=2 * (bound if bound != math.inf else 1),
-        terms=2 * terms if terms else None,
-    )
-    diff = doubled.values - claimed
-    ok = True
-    for i in range(m.n):
-        for j in range(m.n):
-            v = padic_valuation(Fraction(diff.entry(i, j)), p)
-            ok = ok and v >= bound
-    return {"doubled_cutoff_within_bound": ok}
+    doubled = apply_series(m, spec, av, precision=2 * (bound if bound != math.inf else 1),
+                           terms=2 * terms if terms else None)
+    within = _matrix_min_valuation(doubled.values - claimed, p) >= bound
+    return {"doubled_cutoff_within_bound": within}
 
 
 def _check_domain(input_doc, result) -> dict:

@@ -151,11 +151,8 @@ def fine_from_spectrum(m: Matrix, spectral: Spectrum) -> FineFrobenius:
     field = m.field
     components = spectral_components(spectral)
     idempotents = _idempotents(spectral.factorization, field)
-    verticals = [
-        Polynomial(field, [-alpha, field.one]) * e % spectral.minpoly
-        for (alpha, n), e in zip(components, idempotents)
-        if n != field.zero
-    ]
+    verticals = [Polynomial(field, [-alpha, field.one]) * e % spectral.minpoly
+                 for (alpha, n), e in zip(components, idempotents) if n != field.zero]
     projectors = eval_polys_at_matrix(idempotents + verticals, m)
     verticals = iter(projectors[len(idempotents) :])
     kernel = Matrix.zeros(field, m.n)
@@ -168,13 +165,7 @@ def fine_from_spectrum(m: Matrix, spectral: Spectrum) -> FineFrobenius:
             linear.append(LinearCovariant(alpha, proj))
         else:
             kernel = proj
-    return FineFrobenius(
-        dim=m.n,
-        field=field,
-        kernel_projector=kernel,
-        linear=tuple(linear),
-        quadratic=tuple(quadratic),
-    )
+    return FineFrobenius(m.n, field, kernel, tuple(linear), tuple(quadratic))
 
 
 def verify_fine(dec: FineFrobenius) -> VerificationReport:
@@ -210,48 +201,22 @@ def verify_fine(dec: FineFrobenius) -> VerificationReport:
             complement = complement + sq.scale(field.one / n)
     others = range(1, len(members))
     checks = (
-        (
-            "eigenvalues_nonzero_distinct",
-            field.zero not in gammas and _distinct(gammas),
-        ),
+        ("eigenvalues_nonzero_distinct", field.zero not in gammas and _distinct(gammas)),
         ("conjugate_pairs_distinct", _distinct(pairs)),
         ("nonsquare_norms", not any(field.is_square(-n)[0] for n in norms)),
-        (
-            "linear_idempotent_orthogonal",
-            all(
-                table[i][h] == (members[i] if i == h else zero)
-                for i in lin
-                for h in lin
-            ),
-        ),
-        (
-            "linear_quad_orthogonal",
-            all(table[i][j] == zero == table[j][i] for i in lin for j in quad),
-        ),
-        (
-            "quad_cross_orthogonal",
-            all(table[j][l] == zero for j in quad for l in quad if j != l),
-        ),
-        (
-            "cube_identity",
-            all(
-                sq * members[j] == members[j].scale(-n)
-                for sq, j, n in zip(squares, quad, norms)
-            ),
-        ),
-        (
-            "projector_consistency",
-            all(
-                sq == cov.projector.scale(-cov.n)
-                for sq, cov in zip(squares, dec.quadratic)
-            ),
-        ),
+        ("linear_idempotent_orthogonal",
+         all(table[i][h] == (members[i] if i == h else zero) for i in lin for h in lin)),
+        ("linear_quad_orthogonal",
+         all(table[i][j] == zero == table[j][i] for i in lin for j in quad)),
+        ("quad_cross_orthogonal",
+         all(table[j][l] == zero for j in quad for l in quad if j != l)),
+        ("cube_identity",
+         all(sq * members[j] == members[j].scale(-n) for sq, j, n in zip(squares, quad, norms))),
+        ("projector_consistency",
+         all(sq == cov.projector.scale(-cov.n) for sq, cov in zip(squares, dec.quadratic))),
         ("kernel_complement", complement is not None and a0 == complement),
-        (
-            "kernel_idempotent_orthogonal",
-            table[0][0] == a0
-            and all(table[0][i] == zero == table[i][0] for i in others),
-        ),
+        ("kernel_idempotent_orthogonal",
+         table[0][0] == a0 and all(table[0][i] == zero == table[i][0] for i in others)),
         ("nonzero_covariants", all(not members[i].is_zero for i in others)),
     )
     return VerificationReport(checks)
@@ -269,9 +234,7 @@ def reconstruct(dec: FineFrobenius) -> Matrix:
     """
     rep = verify_fine(dec)
     if not rep.passed:
-        raise InvalidDecomposition(
-            "decomposition record fails: " + ", ".join(rep.failing())
-        )
+        raise InvalidDecomposition("decomposition record fails: " + ", ".join(rep.failing()))
     return _covariant_sum(dec)
 
 
@@ -300,27 +263,9 @@ def normalize(dec: FineFrobenius) -> NormalizedFineFrobenius:
                 f"component with n = {n} < 0 has real eigenvalues over the closure"
             )
         imaginary = field.sqrt(n)
-        inv = (
-            1 / imaginary
-            if isinstance(imaginary, Fraction)
-            else imaginary.inverse()
-        )
-        quads.append(
-            NormalizedQuadCovariant(
-                alpha=cov.alpha,
-                n=cov.n,
-                imaginary=imaginary,
-                vertical_unit=cov.vertical.scale(inv),
-                projector=cov.projector,
-            )
-        )
-    return NormalizedFineFrobenius(
-        dim=dec.dim,
-        field=field,
-        kernel_projector=dec.kernel_projector,
-        linear=dec.linear,
-        quadratic=tuple(quads),
-    )
+        quads.append(NormalizedQuadCovariant(cov.alpha, cov.n, imaginary,
+                                             cov.vertical.scale(1 / imaginary), cov.projector))
+    return NormalizedFineFrobenius(dec.dim, field, dec.kernel_projector, dec.linear, tuple(quads))
 
 
 def reconstruct_normalized(dec: NormalizedFineFrobenius) -> Matrix:

@@ -121,14 +121,11 @@ def _expect_str(value, name: str) -> str:
 # ---------------------------------------------------------------------------
 
 def matrix_to_json(m: Matrix) -> dict:
-    return {
-        "field": m.field.tag,
-        "n": m.n,
-        "entries": [
-            [scalar_to_json(m.field, m.entry(i, j)) for j in range(m.n)]
-            for i in range(m.n)
-        ],
-    }
+    if m.radical is None:
+        entries = m.strings()
+    else:
+        entries = [[scalar_to_json(m.field, e) for e in row] for row in m.rows]
+    return {"field": m.field.tag, "n": m.n, "entries": entries}
 
 
 def matrix_from_json(obj) -> Matrix:
@@ -148,6 +145,8 @@ def matrix_from_json(obj) -> Matrix:
         or any(not isinstance(row, list) or len(row) != n for row in entries)
     ):
         raise SchemaMismatch(f"entries must form an {n}x{n} array")
+    if all(isinstance(e, str) for row in entries for e in row):
+        return Matrix.parse(field, entries)
     return Matrix(
         field, [[scalar_from_json(field, e) for e in row] for row in entries]
     )
@@ -160,7 +159,7 @@ def matrix_from_json(obj) -> Matrix:
 def poly_to_json(f: Polynomial) -> dict:
     return {
         "field": f.field.tag,
-        "coeffs": [f.field.to_str(c) for c in f.coeffs],
+        "coeffs": f.strings(),
     }
 
 
@@ -212,7 +211,7 @@ def factorization_to_json(field, fact: Factorization) -> dict:
         "unit": field.to_str(fact.unit),
         "factors": [
             {
-                "coeffs": [field.to_str(c) for c in poly.coeffs],
+                "coeffs": poly.strings(),
                 "multiplicity": mult,
             }
             for poly, mult in fact.factors
@@ -235,7 +234,7 @@ def complete_jc_to_json(dec: CompleteJC) -> dict:
         "N": matrix_to_json(dec.nilpotent),
         "factors": [
             {
-                "coeffs": [field.to_str(c) for c in item.poly.coeffs],
+                "coeffs": item.poly.strings(),
                 "multiplicity": item.multiplicity,
                 "alpha": field.to_str(item.alpha),
             }
@@ -283,33 +282,16 @@ def fine_from_json(obj) -> FineFrobenius:
     for item in obj["linear"]:
         if not isinstance(item, dict) or "gamma" not in item or "A" not in item:
             raise SchemaMismatch("linear covariant needs gamma and A")
-        linear.append(
-            LinearCovariant(
-                field.parse(_expect_str(item["gamma"], "gamma")),
-                matrix_from_json(item["A"]),
-            )
-        )
+        linear.append(LinearCovariant(field.parse(_expect_str(item["gamma"], "gamma")),
+                                      matrix_from_json(item["A"])))
     quadratic = []
     for item in obj["quadratic"]:
-        if not isinstance(item, dict) or any(
-            k not in item for k in ("alpha", "n", "B", "P")
-        ):
+        if not isinstance(item, dict) or any(k not in item for k in ("alpha", "n", "B", "P")):
             raise SchemaMismatch("quadratic covariant needs alpha, n, B, P")
-        quadratic.append(
-            QuadCovariant(
-                field.parse(_expect_str(item["alpha"], "alpha")),
-                field.parse(_expect_str(item["n"], "n")),
-                matrix_from_json(item["B"]),
-                matrix_from_json(item["P"]),
-            )
-        )
-    return FineFrobenius(
-        dim=kernel.n,
-        field=field,
-        kernel_projector=kernel,
-        linear=tuple(linear),
-        quadratic=tuple(quadratic),
-    )
+        quadratic.append(QuadCovariant(field.parse(_expect_str(item["alpha"], "alpha")),
+                                       field.parse(_expect_str(item["n"], "n")),
+                                       matrix_from_json(item["B"]), matrix_from_json(item["P"])))
+    return FineFrobenius(kernel.n, field, kernel, tuple(linear), tuple(quadratic))
 
 
 def normalized_to_json(dec: NormalizedFineFrobenius) -> dict:
@@ -379,10 +361,7 @@ def padic_result_to_json(res: PadicSeriesMatrix, spec: SeriesSpec) -> dict:
         "p": res.p,
         "terms": res.terms_used,
         "valuation_bound": "inf" if bound == math.inf else int(bound),
-        "entries": [
-            [res.values.field.to_str(res.values.entry(i, j)) for j in range(res.n)]
-            for i in range(res.n)
-        ],
+        "entries": res.values.strings(),
     }
 
 

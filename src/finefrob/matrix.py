@@ -9,18 +9,21 @@ the relation of mu(M) e_j, which makes mu lcm(mu, ann(e_j)) with no gcd and
 no factorization; with quadratic entries a product off the ground field
 raises FieldMismatch.
 
-Polynomials are evaluated at a matrix on one path, ``eval_polys_at_matrix``:
-the powers I, M, ..., M^e are computed once and every polynomial is a linear
-combination of them.  Over a ground field the product, that combination
-and the Krylov iteration run on plain ints, one loop for both fields: on
-residues over F_p, and over Q on the integer matrix a = d M, d the lcm of
-the entry denominators, so that a product is (a b, da db).  Each result
-entry becomes an element once, when the result is built.  Over Q the
-Krylov relations come from fraction-free elimination with exact division
-(Bareiss, Math. Comp. 22, 1968), and X -> dX turns the minimal polynomial
-of a into M's.  Only with quadratic entries do the loops run on the
-elements.  ``rank`` and ``inverse`` always do, in one Gauss-Jordan loop
-(``inverse`` reduces [M | I]).
+A matrix stores the form its kernels compute on, (p, rows, d) for rows / d,
+as FLINT's fmpq_mat keeps integer numerators over one denominator: int
+residues in [0, p) over F_p with d = 1, and over Q the integer matrix
+a = d M, d > 0 prime to every numerator.  Sums, scalings, products, equality,
+hashing, parsing and printing run on that state with plain ints, one loop for
+both fields (a product is (a b, da db)); ``Matrix._of`` makes each result
+canonical, so equal matrices have equal states, and ``rows`` and ``entry``
+build elements only when asked.  Polynomials are evaluated at a matrix on
+one path, ``eval_polys_at_matrix``: the powers I, M, ..., M^e are computed
+once, reduced mod p over F_p, and every polynomial is a linear combination
+of them.  Over Q the Krylov relations come from fraction-free elimination
+with exact division (Bareiss, Math. Comp. 22, 1968), and X -> dX turns the
+minimal polynomial of a into M's.  Only with quadratic entries (p None) are
+the elements stored and the loops run on them.  ``rank`` and ``inverse``
+always do, in one Gauss-Jordan loop (``inverse`` reduces [M | I]).
 
 ``Spectrum`` is the spectral data every decomposition reads: the minimal
 polynomial together with its factorization into monic irreducibles, built
@@ -34,7 +37,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 from .errors import (
     DimensionMismatch,
@@ -61,54 +64,67 @@ __all__ = [
 
 
 class Matrix:
-    """An immutable n x n matrix over a ground field (or one quadratic extension)."""
+    """An immutable n x n matrix over a ground field (or one quadratic extension).
 
-    __slots__ = ("field", "n", "rows", "radical")
+    Its state is the kernel form (p, rows, d) of ``_values``, the matrix
+    being rows / d: over F_p, p and int residues in [0, p) with d = 1; over
+    Q, 0 and integer numerators over d > 0 with gcd(d, every numerator) = 1,
+    so d = 1 for the zero matrix; with quadratic entries, None and the
+    elements, d = 1.  Equal matrices have equal states.  ``rows`` and
+    ``entry`` are views that build elements on each call.
+    """
+
+    __slots__ = ("field", "n", "_p", "_rows", "_d")
 
     def __init__(self, field, rows):
-        rows = tuple(tuple(_coerce_entry(field, e) for e in row) for row in rows)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise DimensionMismatch("matrix must be square and nonempty")
-        radical = None
-        for row in rows:
-            for e in row:
-                if isinstance(e, QuadElement):
-                    if radical is None:
-                        radical = e.d
-                    elif radical != e.d:
-                        raise MixedExtension(
-                            "matrix entries mix distinct quadratic extensions"
-                        )
-        self.field = field
-        self.n = n
-        self.rows = rows
-        self.radical = radical
+        """From rows of elements of ``field`` or ints, each coerced once."""
+        rows = _square([[e if isinstance(e, QuadElement) else field.coerce(e) for e in row]
+                        for row in rows])
+        quads = [e for row in rows for e in row if isinstance(e, QuadElement)]
+        if any(e.field != field for e in quads):
+            raise FieldMismatch("entry over a different ground field")
+        if len({e.d for e in quads}) > 1:
+            raise MixedExtension("matrix entries mix distinct quadratic extensions")
+        self.field, self.n = field, len(rows)
+        self._p, self._rows, self._d = _canonical(field, None, rows, 1)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _of(cls, field, p, rows, d=1) -> "Matrix":
+        """rows / d from a kernel, p as ``_values`` gave it, in canonical form:
+        residues reduced mod p, numerators and d divided by their gcd, and
+        elements (p None) turned into ints when no quadratic entry is left."""
+        m = object.__new__(cls)
+        m.field, m.n = field, len(rows)
+        m._p, m._rows, m._d = _canonical(field, p, rows, d)
+        return m
+
+    @classmethod
+    def parse(cls, field, rows) -> "Matrix":
+        """From rows of literals, each read as ``field.parse`` reads it, with
+        no element built: all at once by ``int`` when it reads them all."""
+        rows, p = _square(rows), field.characteristic
+        try:
+            return cls._of(field, p, [[int(s, 10) for s in row] for row in rows])
+        except (TypeError, ValueError):
+            values = [[field.parse_value(s) for s in row] for row in rows]
+        d = math.lcm(*(k for row in values for _, k in row))
+        return cls._of(field, p, [[x * (d // k) for x, k in row] for row in values], d)
+
+    @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        return cls(
-            field,
-            [[field.one if i == j else field.zero for j in range(n)] for i in range(n)],
-        )
+        return cls._of(field, field.characteristic, _identity(n))
 
     @classmethod
     def zeros(cls, field, n: int) -> "Matrix":
-        return cls(field, [[field.zero] * n for _ in range(n)])
+        return cls._of(field, field.characteristic, [[0] * n for _ in range(n)])
 
     @classmethod
     def diagonal(cls, field, entries) -> "Matrix":
         entries = list(entries)
-        n = len(entries)
-        return cls(
-            field,
-            [
-                [entries[i] if i == j else field.zero for j in range(n)]
-                for i in range(n)
-            ],
-        )
+        return cls(field, [[e if i == j else 0 for j in range(len(entries))]
+                           for i, e in enumerate(entries)])
 
     @classmethod
     def companion(cls, poly: Polynomial) -> "Matrix":
@@ -125,22 +141,33 @@ class Matrix:
             rows[i][d - 1] = -poly.coeff(i)
         return cls(field, rows)
 
-    @classmethod
-    def _of(cls, field, p, rows, d=1) -> "Matrix":
-        """rows / d from a kernel, p as ``_values`` gave it: each int made an
-        ``FpElement`` or a ``Fraction`` once, and not coerced again."""
-        if p is None:  # elements, checked as any others
-            return cls(field, rows)
-        m = object.__new__(cls)
-        make, k = (FpElement, p) if p else (Fraction, d)
-        m.field, m.n, m.radical = field, len(rows), None
-        m.rows = tuple(tuple(map(make, row, [k] * len(row))) for row in rows)
-        return m
-
     # -- structure -----------------------------------------------------------
 
+    @property
+    def rows(self) -> tuple:
+        """The entries as elements, built on this call."""
+        p, rows = self._p, self._rows
+        if p is None:
+            return rows
+        make, k = (FpElement, p) if p else (Fraction, self._d)
+        return tuple(tuple(make(x, k) for x in row) for row in rows)
+
     def entry(self, i: int, j: int):
-        return self.rows[i][j]
+        """Entry (i, j), the one element built."""
+        p, x = self._p, self._rows[i][j]
+        return x if p is None else FpElement(x, p) if p else Fraction(x, self._d)
+
+    @property
+    def radical(self):
+        """The radicand of the quadratic entries; None without them."""
+        if self._p is None:
+            return next(e.d for row in self._rows for e in row if isinstance(e, QuadElement))
+        return None
+
+    def strings(self) -> list:
+        """Each entry of a ground matrix as ``field.to_str`` prints it."""
+        to_str, d = self.field.value_str, self._d
+        return [[to_str(x, d) for x in row] for row in self._rows]
 
     def _check(self, other: "Matrix"):
         if self.field != other.field:
@@ -150,49 +177,40 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(e == z for row in self.rows for e in row)
+        return self._p is not None and not any(map(any, self._rows))
 
     def trace(self):
         acc = self.field.zero
         for i in range(self.n):
-            acc = acc + self.rows[i][i]
+            acc = acc + self.entry(i, i)
         return acc
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)],
-        )
+        return Matrix._of(self.field, self._p, list(zip(*self._rows)), self._d)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._check(other)
-        return Matrix(
-            self.field,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign other, over the lcm of the two denominators."""
         self._check(other)
-        return Matrix(
-            self.field,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        p, (a, da), (b, db) = _values(self, other)
+        d = math.lcm(da, db)
+        sa, sb = d // da, sign * (d // db)
+        rows = [[sa * x + sb * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        return Matrix._of(self.field, p, rows, d)
 
     def __neg__(self):
-        return Matrix(self.field, [[-e for e in row] for row in self.rows])
+        return Matrix._of(self.field, self._p, [[-x for x in row] for row in self._rows], self._d)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -207,7 +225,11 @@ class Matrix:
         return self.scale(other)
 
     def scale(self, c) -> "Matrix":
-        return Matrix(self.field, [[c * e for e in row] for row in self.rows])
+        p, (a, d) = _values(self)
+        if p is None or isinstance(c, QuadElement):
+            return Matrix._of(self.field, None, [[c * e for e in row] for row in self.rows])
+        k, den = _scalar_value(self.field, c)
+        return Matrix._of(self.field, p, [[k * x for x in row] for row in a], d * den)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -235,17 +257,18 @@ class Matrix:
                 zip(self.rows, Matrix.identity(self.field, self.n).rows)]
         if _gauss_jordan(rows, self.field) < self.n:
             raise NotInvertible("matrix is singular")
-        return Matrix(self.field, [row[self.n :] for row in rows])
+        return Matrix._of(self.field, None, [row[self.n :] for row in rows])
 
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field == other.field and self.n == other.n and self.rows == other.rows
+        return (self.field == other.field and self._p == other._p
+                and self._d == other._d and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.n, self.rows))
+        return hash((self._d, self._rows))
 
     def __repr__(self):
         body = "; ".join(
@@ -254,33 +277,56 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def _coerce_entry(field, e):
-    if isinstance(e, QuadElement):
-        if e.field != field:
-            raise FieldMismatch("entry over a different ground field")
-        return e
-    return field.coerce(e)
+def _square(rows) -> list:
+    rows = list(rows)
+    if not rows or any(len(r) != len(rows) for r in rows):
+        raise DimensionMismatch("matrix must be square and nonempty")
+    return rows
+
+
+def _canonical(field, p, rows, d) -> tuple:
+    """The state (p, rows, d) of rows / d, p as ``_values`` gives it."""
+    if p is None:
+        if any(isinstance(e, QuadElement) for row in rows for e in row):
+            return None, tuple(map(tuple, rows)), 1
+        p = field.characteristic  # elements of the ground field, or ints
+        if p:
+            rows = [[getattr(e, "residue", e) for e in row] for row in rows]
+        else:
+            d = math.lcm(*(e.denominator for row in rows for e in row))
+            rows = [[e.numerator * (d // e.denominator) for e in row] for row in rows]
+    if p:
+        return p, tuple(tuple([x % p for x in row]) for row in rows), 1
+    g = math.gcd(d, *chain.from_iterable(rows))
+    if d < 0:
+        g = -g
+    if g == 1:
+        return 0, tuple(map(tuple, rows)), d
+    return 0, tuple(tuple([x // g for x in row]) for row in rows), d // g
+
+
+def _scalar_value(field, c) -> tuple:
+    """(k, den) with c = k / den, for c an int or a ground element of field."""
+    p = field.characteristic
+    if isinstance(c, FpElement) and p:
+        if c.p != p:
+            raise FieldMismatch(f"mixed moduli {p} and {c.p}")
+        return c.residue, 1
+    if isinstance(c, int) or isinstance(c, Fraction) and not p:
+        return c.numerator, c.denominator
+    raise TypeError(f"cannot scale a matrix over {field!r} by {c!r}")
 
 
 def _values(*ms):
-    """(p, (rows, d) for each m) to compute on, m being rows / d.
+    """(p, (rows, d) for each m): the state of each m, m being rows / d.
 
-    Over a ground F_p, p and the int residues, d = 1; over a ground Q, 0 and
-    the integer numerators over d, the lcm of the entry denominators; with
-    quadratic entries, None and the elements, d = 1.  Results go back
-    through ``Matrix._of``, which reduces each residue mod p once.
+    With quadratic entries in any of them, None and the elements of each,
+    d = 1.  Results go back through ``Matrix._of``, which makes them
+    canonical.
     """
-    field = ms[0].field
-    if any(m.radical is not None for m in ms):
+    if any(m._p is None for m in ms):
         return (None, *((m.rows, 1) for m in ms))
-    if field.characteristic:
-        return (field.characteristic,
-                *(([[e.residue for e in row] for row in m.rows], 1) for m in ms))
-    out = []
-    for m in ms:
-        d = math.lcm(*(e.denominator for row in m.rows for e in row))
-        out.append(([[e.numerator * (d // e.denominator) for e in row] for row in m.rows], d))
-    return (0, *out)
+    return (ms[0]._p, *((m._rows, m._d) for m in ms))
 
 
 def _gauss_jordan(rows: list, field) -> int:
@@ -329,7 +375,8 @@ def eval_polys_at_matrix(polys, m: Matrix) -> list[Matrix]:
     """[f(m) for f in polys], each a linear combination of one table of powers.
 
     The table I, a, ..., a^e (e the largest degree, m = a / d) takes e - 1
-    products on ``_values``, however many polynomials share it; over Q,
+    products on ``_values``, however many polynomials share it, and over F_p
+    each power is reduced mod p before the next product; over Q,
     f(m) = sum c_k L d^(e-k) a^k / (L d^e) for f of degree e, L the lcm of
     the denominators of its coefficients c_k.
     """
@@ -339,7 +386,8 @@ def eval_polys_at_matrix(polys, m: Matrix) -> list[Matrix]:
     p, (a, d) = _values(m)
     powers = [_identity(n), a]
     while len(powers) <= max((f.degree for f in polys), default=0):
-        powers.append(_product(powers[-1], a))
+        power = _product(powers[-1], a)
+        powers.append([[x % p for x in row] for row in power] if p else power)
     flat = [[e for row in power for e in row] for power in powers]
     out = []
     for f in polys:
@@ -355,7 +403,7 @@ def eval_polys_at_matrix(polys, m: Matrix) -> list[Matrix]:
 def _coefficients(f: Polynomial, p, d: int):
     """(the multipliers of a^0, a^1, ... in f(a / d), their denominator)."""
     if p:
-        return [c.residue for c in f.coeffs], 1
+        return f._coeffs, 1
     if p is None:
         return f.coeffs, 1
     e = max(f.degree, 0)
@@ -499,7 +547,14 @@ def is_semisimple(m: Matrix) -> bool:
 
 
 def is_nilpotent(m: Matrix) -> bool:
-    return (m ** m.n).is_zero
+    """Whether N^(2^k) = 0 for 2^k >= n, squaring N until a power is zero:
+    no product for N = 0, at most ceil(log2 n) in all."""
+    power, exponent = m, 1
+    while not power.is_zero:
+        if exponent >= m.n:
+            return False
+        power, exponent = power * power, 2 * exponent
+    return True
 
 
 def splitting_bound_of_matrix(m: Matrix) -> int:

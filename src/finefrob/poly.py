@@ -31,10 +31,10 @@ Factorization is complete for both supported ground fields:
 A hard degree cap keeps the recombination bounded; factors are returned in a
 canonical order so downstream results are deterministic.
 
-Arithmetic runs on coefficient lists, constant first, as ``_values`` gives
-them: int residues over F_p, Fractions over Q.  There is one kernel per job,
-``_mul``, ``_divmod``, ``_gcd``, ``_xgcd`` (which gives the inverse modulo m)
-and ``_powmod``; the ring operators of ``Polynomial``, ``poly_gcd``,
+Arithmetic runs on coefficient lists, constant first, as a ``Polynomial``
+stores them and ``_values`` reads them: int residues over F_p, Fractions
+over Q.  There is one kernel per job, ``_mul``, ``_divmod``, ``_gcd``,
+``_xgcd`` (which gives the inverse modulo m) and ``_powmod``; the ring operators of ``Polynomial``, ``poly_gcd``,
 ``poly_xgcd`` and ``poly_powmod`` are thin wrappers over them that build one
 ``Polynomial`` per result, through ``Polynomial._of``, which coerces nothing.
 Factoring over F_p (Cantor-Zassenhaus with the p-th-root descent), the
@@ -88,26 +88,31 @@ SQUAREFREE_PRIME = 2**31 - 1  # squarefree_part certifies over Q modulo it
 
 
 class Polynomial:
-    """Univariate polynomial over a fixed ground field, constant term first."""
+    """Univariate polynomial over a fixed ground field, constant term first.
 
-    __slots__ = ("field", "coeffs")
+    Its state is the trimmed coefficient tuple the kernels compute on: int
+    residues in [0, p) over F_p, Fractions over Q.  ``coeffs`` and ``coeff``
+    are views that build the elements.
+    """
+
+    __slots__ = ("field", "_coeffs")
 
     def __init__(self, field, coeffs):
         cs = [field.coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self._coeffs = tuple(c.residue for c in cs) if field.characteristic else tuple(cs)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def _of(cls, field, p, values) -> "Polynomial":
-        """From a kernel's trimmed list, p as ``_values`` gave it: each residue
-        made an ``FpElement`` once, Fractions kept, nothing coerced again."""
+        """From a kernel's trimmed list, p as ``_values`` gave it: residues
+        reduced mod p, Fractions kept, nothing coerced again."""
         f = object.__new__(cls)
         f.field = field
-        f.coeffs = tuple(map(FpElement, values, [p] * len(values)) if p else map(QQ.coerce, values))
+        f._coeffs = tuple(c % p for c in values) if p else tuple(map(QQ.coerce, values))
         return f
 
     @classmethod
@@ -131,31 +136,43 @@ class Polynomial:
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._coeffs
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as elements, constant first, built on this call."""
+        p = self.field.characteristic
+        return tuple(FpElement(c, p) for c in self._coeffs) if p else self._coeffs
 
     def coeff(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero
+        if not 0 <= i < len(self._coeffs):
+            return self.field.zero
+        p = self.field.characteristic
+        return FpElement(self._coeffs[i], p) if p else self._coeffs[i]
+
+    def strings(self) -> list:
+        """Each coefficient as ``field.to_str`` prints it."""
+        to_str = self.field.value_str
+        return [to_str(c.numerator, c.denominator) for c in self._coeffs]
 
     @property
     def leading(self):
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(self.degree)
 
     @property
     def is_monic(self) -> bool:
-        return not self.is_zero and self.leading == self.field.one
+        return not self.is_zero and self._coeffs[-1] == 1
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        if self.leading == self.field.one:
+        if self._coeffs[-1] == 1:
             return self
         p, a = _values(self)
         return Polynomial._of(self.field, p, _monic(a, p))
@@ -248,13 +265,13 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.field == other.field and self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self._coeffs))
 
     def sort_key(self):
-        return (self.degree, tuple(self.field.sort_key(c) for c in self.coeffs))
+        return (self.degree, self._coeffs)
 
     def __repr__(self):
         if self.is_zero:
@@ -274,13 +291,10 @@ class Polynomial:
 
 
 def _values(*polys):
-    """(p, the coefficients of each poly) for the kernels: p and int residues in
-    [0, p) over F_p, else 0 and the Fractions themselves.  A kernel result
-    becomes a ``Polynomial`` through ``Polynomial._of``."""
-    p = polys[0].field.characteristic
-    if p:
-        return (p, *([c.residue for c in f.coeffs] for f in polys))
-    return (0, *(f.coeffs for f in polys))
+    """(p, the state of each poly) for the kernels: p and int residues in
+    [0, p) over F_p, else 0 and the Fractions.  A kernel result becomes a
+    ``Polynomial`` through ``Polynomial._of``."""
+    return (polys[0].field.characteristic, *(f._coeffs for f in polys))
 
 
 # ---------------------------------------------------------------------------

@@ -179,16 +179,22 @@ def padic_valuation(x, p: int):
 # ground fields
 # ---------------------------------------------------------------------------
 
-def _int_literal(s):
-    """int(s) for a string that int reads, else None.  Fraction reads every
-    such string as the same value, about twenty times slower; every literal
-    finefrob prints is one."""
+def _literal_value(s) -> tuple[int, int]:
+    """(n, d), d > 0, with n / d the value Fraction reads in the literal s,
+    or Fraction's ValueError or ZeroDivisionError.  A string n or n/d whose
+    parts int reads, d in ASCII digits, skips Fraction, which reads it as
+    n / d about twenty times slower; every literal finefrob prints is one."""
     if isinstance(s, str):
-        try:
-            return int(s)
-        except ValueError:
-            pass
-    return None
+        num, slash, den = s.partition("/")
+        if not slash or num[-1:].isdigit() and den.isascii() and den.isdigit():
+            try:
+                n, d = int(num), int(den) if slash else 1
+                if d:
+                    return n, d
+            except ValueError:
+                pass
+    x = Fraction(s)
+    return x.numerator, x.denominator
 
 
 class RationalField:
@@ -219,24 +225,28 @@ class RationalField:
         return isinstance(x, (Fraction, int))
 
     def parse(self, s: str) -> Fraction:
-        k = _int_literal(s)
-        if k is not None:
-            return Fraction(k)
+        return Fraction(*self.parse_value(s))
+
+    def parse_value(self, s: str) -> tuple[int, int]:
+        """(n, d), d > 0, with n / d the value of the literal s."""
         try:
-            return Fraction(s)
+            return _literal_value(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaMismatch(f"bad rational literal {s!r}") from exc
 
     def to_str(self, x) -> str:
         x = self.coerce(x)
-        try:
-            return str(x)
-        except ValueError as exc:  # past Python's int-to-str digit limit
-            bits = max(x.numerator.bit_length(), x.denominator.bit_length())
-            raise CapExceeded(f"a {bits}-bit rational is too long to print") from exc
+        return self.value_str(x.numerator, x.denominator)
 
-    def sort_key(self, x):
-        return self.coerce(x)
+    def value_str(self, n: int, d: int) -> str:
+        """The literal of n / d, d > 0, in lowest terms."""
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        try:
+            return str(n) if d == 1 else f"{n}/{d}"
+        except ValueError as exc:  # past Python's int-to-str digit limit
+            bits = max(n.bit_length(), d.bit_length())
+            raise CapExceeded(f"a {bits}-bit rational is too long to print") from exc
 
     def is_square(self, x) -> tuple[bool, Fraction | None]:
         """Whether x is a square in Q; if so, also its nonnegative root."""
@@ -395,24 +405,27 @@ class PrimeField:
         return isinstance(x, int) or (isinstance(x, FpElement) and x.p == self.p)
 
     def parse(self, s: str) -> FpElement:
-        k = _int_literal(s)
-        if k is not None:
-            return FpElement(k, self.p)
+        return FpElement(self.parse_value(s)[0], self.p)
+
+    def parse_value(self, s: str) -> tuple[int, int]:
+        """(the residue of the literal s, 1)."""
         try:
-            fr = Fraction(s)
+            n, d = _literal_value(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaMismatch(f"bad F_{self.p} literal {s!r}") from exc
-        if fr.denominator == 1:
-            return FpElement(fr.numerator, self.p)
-        if fr.denominator % self.p == 0:
+        if d == 1:
+            return n % self.p, 1
+        g = math.gcd(n, d)
+        if d // g % self.p == 0:
             raise SchemaMismatch(f"literal {s!r} has denominator divisible by {self.p}")
-        return self.from_int(fr.numerator) / self.from_int(fr.denominator)
+        return n // g * pow(d // g, -1, self.p) % self.p, 1
 
     def to_str(self, x) -> str:
         return str(self.coerce(x).residue)
 
-    def sort_key(self, x):
-        return self.coerce(x).residue
+    def value_str(self, n: int, d: int) -> str:
+        """The literal of a residue n (d is 1)."""
+        return str(n)
 
     @property
     def nonresidue(self) -> int:

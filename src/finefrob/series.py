@@ -582,16 +582,18 @@ def _arch_tails(dec: FineFrobenius, spec: SeriesSpec, terms: int):
 def _embed_with_bounds(
     exact: Matrix, tail_items, precision: int, terms: int
 ) -> ArchSeriesMatrix:
-    dim = exact.n
+    dim, rows = exact.n, exact.rows
+    tails = [(tail, mat.rows) for tail, mat in tail_items]
     with mpmath.workprec(precision):
         values = mpmath.matrix(dim, dim)
         bounds = mpmath.matrix(dim, dim)
         for i in range(dim):
             for j in range(dim):
-                val = Fraction(exact.entry(i, j))
+                val = rows[i][j]
                 err = _round_slack(precision, val)
-                for tail, mat in tail_items:
-                    err += tail * abs(Fraction(mat.entry(i, j)))
+                for tail, mat in tails:
+                    if mat[i][j]:
+                        err += tail * abs(mat[i][j])
                 values[i, j] = _to_mpf(val)
                 bounds[i, j] = _to_mpf(err)
     return ArchSeriesMatrix(values, bounds, precision, terms)
@@ -780,10 +782,10 @@ def apply_named_closed_form(m: Matrix, name: str, precision: int = 128) -> ArchS
 
 
 def _embed_matrix(mat: Matrix) -> mpmath.matrix:
-    out = mpmath.matrix(mat.n, mat.n)
+    out, rows = mpmath.matrix(mat.n, mat.n), mat.rows
     for i in range(mat.n):
         for j in range(mat.n):
-            out[i, j] = _to_mpf(mat.entry(i, j))
+            out[i, j] = _to_mpf(rows[i][j])
     return out
 
 

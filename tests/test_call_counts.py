@@ -35,6 +35,7 @@ from pathlib import Path
 import pytest
 
 import finefrob.frobenius
+import finefrob.jsonio
 import finefrob.matrix
 import finefrob.poly
 import finefrob.scalar
@@ -47,11 +48,15 @@ from finefrob import (
     complete_jc,
     crt_projectors,
     eval_poly_at_matrix,
+    eval_polys_at_matrix,
+    is_nilpotent,
     quad_element,
     spectrum,
     verify_complete_jc,
 )
 from finefrob.cli import main
+
+import oracles
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -163,8 +168,10 @@ def products(monkeypatch):
         ("fine-f7_semisimple", "f7_semisimple", 10, 1),
         ("fine-q_worked", "q_worked", 5, 1),
         ("normalize-q_semisimple", "q_semisimple", 2, 0),
-        ("jc-q_jordan", "q_jordan", 5, 0),
-        ("cjc-q_jordan", "q_jordan", 9, 0),
+        # is_nilpotent squares N until a power is zero: N^2 = 0 here, so one
+        # product where N^5 by square and multiply took three
+        ("jc-q_jordan", "q_jordan", 3, 0),
+        ("cjc-q_jordan", "q_jordan", 7, 0),
     ],
 )
 def test_check_products(
@@ -441,3 +448,100 @@ def test_minimal_polynomial_multiplies_relations_without_gcd(
     assert (len(degrees), sum(degrees)) == (relations, mpoly.degree)
     assert calls == {}
     assert not hasattr(finefrob.matrix, "poly_lcm")
+
+
+@pytest.mark.parametrize("p", [7, 1009])
+def test_fp_power_table_is_reduced(p, monkeypatch):
+    """Over F_p each power in the table of ``eval_polys_at_matrix`` is reduced
+    mod p before the next product, so the int product kernel never sees an
+    entry outside [0, p): unreduced, the entries of a^k grow to about
+    k log2(n p) bits.  ``complete_jc`` builds its table the same way."""
+    field = PrimeField(p)
+    m = Matrix(field, F7_DENSE) if p == 7 else _conjugated(field, [F7_DENSE, [[5, 1], [0, 5]]])
+    f = Polynomial(field, [field.from_int(k * k + 1) for k in range(12)])
+    reduced = []
+    original = finefrob.matrix._product
+
+    def checking(a, b):
+        reduced.append(all(0 <= x < p for rows in (a, b) for row in rows for x in row))
+        return original(a, b)
+
+    monkeypatch.setattr(finefrob.matrix, "_product", checking)
+    value = eval_poly_at_matrix(f, m)
+    dec = complete_jc(m)
+    monkeypatch.undo()
+    assert len(reduced) >= 10 and all(reduced)
+    assert value.rows == oracles.poly_eval_matrix(field, list(f.coeffs), m.rows)
+    assert verify_complete_jc(m, dec).passed
+
+
+def _shift(n, block):
+    """The nilpotent matrix with ones above the diagonal inside blocks of ``block``."""
+    return Matrix(QQ, [[int(j == i + 1 and j % block) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "m, nilpotent, wanted",
+    [
+        (Matrix.zeros(QQ, 6), True, 0),
+        (_shift(6, 2), True, 1),  # N^2 = 0
+        (_shift(6, 6), True, 3),  # N^4 != 0, N^8 = 0
+        (_shift(5, 5) + Matrix.identity(QQ, 5).scale(Fraction(1, 2)), False, 3),
+        (Matrix.identity(QQ, 1), False, 0),
+    ],
+    ids=["zero", "N2", "N6", "not-nilpotent", "one"],
+)
+def test_is_nilpotent_squares_until_a_power_is_zero(m, nilpotent, wanted, products):
+    """N, N^2, N^4, ... until a power is zero or the exponent reaches n: no
+    product for N = 0 and at most ceil(log2 n) for any N."""
+    assert is_nilpotent(m) is nilpotent
+    assert products["Matrix"] == wanted
+
+
+DOCUMENTS = {
+    "Q": [["1/2", "-3", "5/6"], ["0", "7/4", "-1/3"], ["2", "1", "-1/10"]],
+    "Fp:7": [["3", "2", "0"], ["6", "4", "5"], ["1", "0", "2"]],
+}
+
+
+@pytest.mark.parametrize("tag", DOCUMENTS)
+def test_kernel_operations_build_no_element(tag, monkeypatch):
+    """Matrices store (p, rows, d), so over Q with denominators and over F_7
+    a product, a sum, a difference, a scale, a table of powers and a JSON
+    round trip coerce nothing and build no ``Fraction`` or ``FpElement``,
+    counted by wrapping ``coerce`` of both fields, ``FpElement.__init__`` and
+    ``Fraction.__new__``."""
+    doc = {"field": tag, "n": 3, "entries": DOCUMENTS[tag]}
+    field = finefrob.scalar.field_from_tag(tag)
+    other = Matrix(field, [[field.from_int(i - 2 * j) for j in range(3)] for i in range(3)])
+    c = field.parse("-2/3")
+    polys = [Polynomial(field, [field.parse(s) for s in ("1/2", "0", "3", "-1", "5/3")]),
+             Polynomial.x(field)]
+    built = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for cls in (finefrob.scalar.RationalField, finefrob.scalar.PrimeField):
+        monkeypatch.setattr(cls, "coerce", counting("coerce", cls.coerce))
+    monkeypatch.setattr(finefrob.scalar.FpElement, "__init__",
+                        counting("FpElement", finefrob.scalar.FpElement.__init__))
+    fraction_new = vars(Fraction)["__new__"]
+    Fraction.__new__ = staticmethod(counting("Fraction", fraction_new.__func__))
+    try:
+        m = finefrob.jsonio.matrix_from_json(doc)
+        printed = finefrob.jsonio.matrix_to_json(m)
+        results = [m * other, m + other, m - other, m.scale(c), *eval_polys_at_matrix(polys, m)]
+    finally:
+        Fraction.__new__ = fraction_new
+        monkeypatch.undo()
+    assert built == {}
+    assert printed == doc
+    a, b = m.rows, other.rows
+    assert [r.rows for r in results] == [
+        oracles.mat_mul(field, a, b), oracles.mat_add(a, b), oracles.mat_sub(a, b),
+        oracles.mat_scale(c, a), *(oracles.poly_eval_matrix(field, list(f.coeffs), a) for f in polys)]

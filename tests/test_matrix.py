@@ -1,11 +1,12 @@
 """Exact matrices, minimal polynomials, and structural predicates."""
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import corpus
 import finefrob.matrix
@@ -30,6 +31,7 @@ from finefrob.errors import (
     NotInvertible,
     NotKRegular,
 )
+from finefrob.scalar import QuadElement
 
 
 def q(*coeffs):
@@ -538,3 +540,85 @@ def test_krylov_relations_are_bounded_minors(drawn):
             vec = [sum(x * v for x, v in zip(row, vec)) for row in a]
         assert not any(acc)
         assert max(g * g for g in relation) <= bound
+
+
+# ---------------------------------------------------------------------------
+# the stored state (p, rows, d)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def state_operands(draw):
+    """(field, a, b, c, f): two n x n matrices over Q with denominators,
+    F_7, F_1009, or Q with some sqrt3 entries, a nonzero ground scalar and a
+    polynomial of degree up to 6."""
+    kind = draw(st.sampled_from(("Q", "F7", "F1009", "Q-sqrt3")))
+    field = QQ if kind[0] == "Q" else PrimeField(int(kind[1:]))
+    if field is QQ:
+        ground = st.builds(Fraction, st.sampled_from((0, 1, -1)) | st.integers(-50, 50),
+                           st.sampled_from((1, 1, 2, 3, 12, 35)) | NEAR_1E30)
+    else:
+        ground = (st.sampled_from((0, 1, -1)) | st.integers(0, field.p - 1)).map(field.from_int)
+    n = draw(st.integers(1, 5))
+
+    def entry():
+        a = draw(ground)
+        if kind == "Q-sqrt3" and draw(st.integers(0, 3)) == 0:
+            return quad_element(field, a, draw(ground.filter(bool)), 3)
+        return a
+
+    a, b = (Matrix(field, [[entry() for _ in range(n)] for _ in range(n)]) for _ in range(2))
+    c = draw(ground.filter(bool))
+    f = Polynomial(field, draw(st.lists(ground, max_size=7)))
+    return field, a, b, c, f
+
+
+def _assert_canonical(m):
+    """Residues in [0, p) with d = 1; over Q, ints over d > 0 prime to them
+    all, d = 1 for zero; elements (p None) only with a quadratic entry."""
+    p, (rows, d) = finefrob.matrix._values(m)
+    if p is None:
+        assert d == 1 and m.radical == 3
+        assert any(isinstance(e, QuadElement) for row in rows for e in row)
+        return
+    values = [x for row in rows for x in row]
+    assert p == m.field.characteristic and all(type(x) is int for x in values)
+    if p:
+        assert d == 1 and all(0 <= x < p for x in values)
+    else:
+        assert d > 0 and math.gcd(d, *values) == 1 and (d == 1 or any(values))
+
+
+@settings(max_examples=150)
+@given(state_operands())
+def test_operations_on_the_state_match_the_oracles(drawn):
+    field, a, b, c, f = drawn
+    results = {
+        "+": (a + b, oracles.mat_add(a.rows, b.rows)),
+        "-": (a - b, oracles.mat_sub(a.rows, b.rows)),
+        "neg": (-a, oracles.mat_scale(-field.one, a.rows)),
+        "scale": (a.scale(c), oracles.mat_scale(c, a.rows)),
+        "*": (a * b, oracles.mat_mul(field, a.rows, b.rows)),
+        "transpose": (a.transpose(), tuple(zip(*a.rows))),
+        "f(a)": (eval_poly_at_matrix(f, a), oracles.poly_eval_matrix(field, list(f.coeffs), a.rows)),
+    }
+    for name, (got, oracle) in results.items():
+        assert got.rows == oracle, name
+        assert all(got.entry(i, j) == oracle[i][j] for i in range(a.n) for j in range(a.n)), name
+        _assert_canonical(got)
+    _assert_canonical(a)
+
+
+@settings(max_examples=150)
+@given(state_operands())
+def test_equal_matrices_have_equal_states(drawn):
+    """Matrices equal by different routes have one state and one hash."""
+    field, a, b, c, f = drawn
+    routes = [(a + b) - b, a.scale(c).scale(field.one / c), -(-a), a.transpose().transpose(),
+              a * Matrix.identity(field, a.n), Matrix(field, a.rows)]
+    if a.radical is None:
+        routes.append(Matrix.parse(field, a.strings()))
+        assert a.strings() == [[field.to_str(e) for e in row] for row in a.rows]
+    for m in routes:
+        assert m == a and finefrob.matrix._values(m) == finefrob.matrix._values(a)
+        assert hash(m) == hash(a)
+    assert (a - a).is_zero and finefrob.matrix._values(a - a)[1][1] == 1

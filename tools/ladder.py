@@ -33,9 +33,14 @@ the companion matrix of f and P is unit upper triangular with entries in
 
 Every call runs under a ``TIMEOUT_S`` alarm; a call past it is recorded as
 ``"timeout"`` and never dropped, and a layer whose input timed out is
-``"not run"``.  A summary gives p50 and max over the ``SEEDS`` seeds, in ms;
-either reads ``"timeout"`` when a timed-out call reaches it.  Each tree runs
-in a single process at a time.
+``"not run"``.  Before each call the child times perfbench's reference job,
+``perfbench.run.reference()``, and records the call's time twice: as
+measured and scaled by ``REFERENCE_S`` over the reference time, so that it
+reads as if the job took ``REFERENCE_S`` (a shared host changes speed by a
+third within seconds).  A summary gives p50 and max over the ``SEEDS`` seeds,
+in ms, of both (``p50_ms``, ``max_ms`` and ``p50_ref_ms``, ``max_ref_ms``);
+each reads ``"timeout"`` when a timed-out call reaches it.  Each tree runs in
+a single process at a time.
 """
 
 from __future__ import annotations
@@ -109,13 +114,14 @@ def build(field, kind: str, n: int, rng):
 
 CHILD = r'''
 import json, random, signal, sys, time
-sys.path[:0] = sys.argv[1:3]
+sys.path[:0] = sys.argv[1:4]
 from finefrob import field_from_tag, minimal_polynomial, factor
 from finefrob import complete_jc, verify_complete_jc
 from finefrob.errors import FinefrobError
 from ladder import SEEDS, TIMEOUT_S, build
+from perfbench.run import REFERENCE_S, reference
 
-tag, kind, n, layers = sys.argv[3:7]
+tag, kind, n, layers = sys.argv[4:8]
 field, n, layers = field_from_tag(tag), int(n), layers.split(",")
 
 
@@ -128,11 +134,14 @@ def alarm(signum, frame):
 
 
 def timed(fn, *args):
+    """(value, [ms, ms at the reference speed]), or None and why not."""
+    scale = REFERENCE_S / reference()
     signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
     start = time.perf_counter()
     try:
         value = fn(*args)
-        return value, 1000 * (time.perf_counter() - start)
+        ms = 1000 * (time.perf_counter() - start)
+        return value, [ms, ms * scale]
     except Timeout:
         return None, "timeout"
     except FinefrobError as exc:
@@ -156,9 +165,10 @@ for seed in range(SEEDS):
 
 
 def run_tree(src: Path, tag: str, kind: str, n: int, layers) -> list[dict]:
-    """One sample per seed: layer -> ms, "timeout", "not run" or "error: ..."."""
+    """One sample per seed: layer -> [ms, ms at the reference speed],
+    "timeout", "not run" or "error: ..."."""
     argv = [sys.executable, "-c", CHILD, str(src), str(Path(__file__).resolve().parent),
-            tag, kind, str(n), ",".join(layers)]
+            str(ROOT), tag, kind, str(n), ",".join(layers)]
     # each call has its own alarm; the outer limit only catches a hung interpreter
     limit = 30 + SEEDS * len(layers) * TIMEOUT_S * 2
     done = subprocess.run(argv, capture_output=True, text=True, timeout=limit, check=True)
@@ -166,16 +176,19 @@ def run_tree(src: Path, tag: str, kind: str, n: int, layers) -> list[dict]:
 
 
 def summary(samples: list) -> dict:
-    """p50 and max over the seeds; a timeout counts as longer than any time."""
+    """p50 and max over the seeds, as measured and at the reference speed; a
+    timeout counts as longer than any time."""
     ran = [s for s in samples if s != "not run" and not str(s).startswith("error")]
-    times = sorted(ran, key=lambda s: float("inf") if s == "timeout" else s)
     out = {"timeouts": samples.count("timeout"),
            "errors": sorted({s for s in samples if str(s).startswith("error")}),
            "not_run": samples.count("not run")}
-    if times:
-        p50, top = times[(len(times) - 1) // 2], times[-1]
-        out["p50_ms"] = p50 if p50 == "timeout" else round(p50, 3)
-        out["max_ms"] = top if top == "timeout" else round(top, 3)
+    for unit, at in (("ms", 0), ("ref_ms", 1)):
+        times = sorted((s if s == "timeout" else s[at] for s in ran),
+                       key=lambda s: float("inf") if s == "timeout" else s)
+        if times:
+            p50, top = times[(len(times) - 1) // 2], times[-1]
+            out[f"p50_{unit}"] = p50 if p50 == "timeout" else round(p50, 3)
+            out[f"max_{unit}"] = top if top == "timeout" else round(top, 3)
     return out
 
 
@@ -218,7 +231,7 @@ def main(argv=None) -> int:
         "head": "working tree",
         "seeds": SEEDS,
         "timeout_s": TIMEOUT_S,
-        "unit": "ms per call, p50 and max over the seeds",
+        "unit": "ms per call, p50 and max over the seeds; *_ref_ms at perfbench.run.REFERENCE_S",
         "machine": {"python": platform.python_version(), "nproc": os.cpu_count(),
                     "platform": platform.platform()},
         "rows": rows,
