@@ -297,9 +297,7 @@ def _canonical(field, p, rows, d) -> tuple:
             rows = [[e.numerator * (d // e.denominator) for e in row] for row in rows]
     if p:
         return p, tuple(tuple([x % p for x in row]) for row in rows), 1
-    g = math.gcd(d, *chain.from_iterable(rows))
-    if d < 0:
-        g = -g
+    g = math.gcd(d, *chain.from_iterable(rows))  # d > 0 from every kernel
     if g == 1:
         return 0, tuple(map(tuple, rows)), d
     return 0, tuple(tuple([x // g for x in row]) for row in rows), d // g

@@ -182,11 +182,12 @@ def padic_valuation(x, p: int):
 def _literal_value(s) -> tuple[int, int]:
     """(n, d), d > 0, with n / d the value Fraction reads in the literal s,
     or Fraction's ValueError or ZeroDivisionError.  A string n or n/d whose
-    parts int reads, d in ASCII digits, skips Fraction, which reads it as
-    n / d about twenty times slower; every literal finefrob prints is one."""
+    parts int reads, n ending and d made of digits, skips Fraction, which
+    reads it as n / d about twenty times slower; every literal finefrob
+    prints is one."""
     if isinstance(s, str):
         num, slash, den = s.partition("/")
-        if not slash or num[-1:].isdigit() and den.isascii() and den.isdigit():
+        if not slash or num[-1:].isdigit() and den.isdigit():
             try:
                 n, d = int(num), int(den) if slash else 1
                 if d:

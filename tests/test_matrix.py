@@ -94,6 +94,12 @@ def test_field_mismatch():
     b = Matrix(field, [[field.from_int(1)]])
     with pytest.raises(FieldMismatch):
         a + b
+    with pytest.raises(FieldMismatch):
+        b.scale(PrimeField(7).one)
+    with pytest.raises(TypeError):
+        b.scale(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        a.scale(field.one)
 
 
 def test_trace_transpose():

@@ -11,6 +11,7 @@ from finefrob import (
     QQ,
     AbsValue,
     FpElement,
+    Matrix,
     PrimeField,
     QuadElement,
     involution,
@@ -296,20 +297,30 @@ LITERAL_PIECES = (
 @example("+\u0663")
 @example("7/7")
 @example("1009/1009")
+@example("1 /2")
+@example("1/ 2")
+@example("1/+2")
+@example("1/-2")
+@example("1/2_0")
+@example(" -14/7\n")
 @example("9" * 4300)
 @example("9" * 4301)
 def test_parse_agrees_with_the_fraction_path(field, literal):
-    """A literal that ``int`` reads skips ``Fraction``; every literal gives
-    the element, or the SchemaMismatch, that ``Fraction`` gives: signs,
+    """A literal n or n/d whose parts ``int`` reads skips ``Fraction``; every
+    literal gives the element, or the SchemaMismatch, that ``Fraction``
+    gives, in ``parse`` and as the entry of ``Matrix.parse``: signs,
     whitespace, underscores, Unicode digits, decimals, exponents, fractions,
     p/p over F_p and literals past Python's 4,300-digit limit."""
     expected = _fraction_parse(field, literal)
     if expected is SchemaMismatch:
         with pytest.raises(SchemaMismatch):
             field.parse(literal)
+        with pytest.raises(SchemaMismatch):
+            Matrix.parse(field, [[literal]])
     else:
         parsed = field.parse(literal)
         assert parsed == expected and type(parsed) is type(expected)
+        assert Matrix.parse(field, [[literal]]) == Matrix(field, [[expected]])
 
 
 def test_fp_nonresidue_and_sqrt():
