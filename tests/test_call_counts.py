@@ -23,7 +23,11 @@ certificate fails, counted by wrapping the gcd kernel ``poly._gcd`` by modulus.
 counted by wrapping ``poly_gcd``, ``poly_lcm`` and ``matrix._local_annihilator``.
 Factoring over F_p runs on residue lists and builds a ``Polynomial`` only for
 each factor it returns, counted by wrapping ``Polynomial.__init__`` and
-``Polynomial._of``.
+``Polynomial._of``.  The F_p table of powers hands the product kernel only
+reduced residues; ``is_nilpotent`` squares until a power is zero; and the
+matrix operations and the JSON round trip, on the stored (p, rows, d) state,
+coerce nothing and build no element, counted by wrapping ``coerce``,
+``FpElement.__init__`` and ``Fraction.__new__``.
 """
 
 import argparse
