@@ -4,7 +4,8 @@ The library works over the rationals and over prime fields F_p (p odd),
 always in exact arithmetic:
 
 - scalars: Fraction / prime-field residues, plus one quadratic extension
-  K(sqrt(d)) per value with a canonical radical d;
+  K(sqrt(d)) per value with a canonical radical d; matrices and polynomials
+  store integer numerators over one denominator (residues over F_p);
 - complete additive decomposition M = H + V + N (horizontal diagonalizable,
   vertical semisimple with reduced-form factors, nilpotent);
 - fine Frobenius decomposition of nonzero semisimple matrices whose minimal

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .jordan_chevalley import _idempotents
 from .matrix import Matrix, Spectrum, eval_polys_at_matrix, spectrum
-from .poly import Polynomial, quad_factor_data
+from .poly import quad_factor_data
 from .report import VerificationReport
 
 __all__ = [
@@ -151,8 +151,9 @@ def fine_from_spectrum(m: Matrix, spectral: Spectrum) -> FineFrobenius:
     field = m.field
     components = spectral_components(spectral)
     idempotents = _idempotents(spectral.factorization, field)
-    verticals = [Polynomial(field, [-alpha, field.one]) * e % spectral.minpoly
-                 for (alpha, n), e in zip(components, idempotents) if n != field.zero]
+    # X - alpha = X + a_1 / 2 is h' made monic for a quadratic factor h
+    verticals = [h.derivative().monic() * e % spectral.minpoly
+                 for (h, _), e in zip(spectral.factorization.factors, idempotents) if h.degree == 2]
     projectors = eval_polys_at_matrix(idempotents + verticals, m)
     verticals = iter(projectors[len(idempotents) :])
     kernel = Matrix.zeros(field, m.n)

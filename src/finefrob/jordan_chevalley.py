@@ -42,10 +42,13 @@ from .poly import (
     Factorization,
     Polynomial,
     _add,
+    _compose,
+    _degree,
     _derivative,
     _divmod,
-    _mul,
+    _lift,
     _reduced,
+    _times,
     _values,
     _xgcd,
     factor,  # unused here; perfbench's tracer test patches jordan_chevalley.factor
@@ -101,14 +104,6 @@ class CompleteJC:
         return self.horizontal + self.vertical
 
 
-def _eval_mod(f, x, modulus, p) -> list:
-    """f(x) mod modulus on coefficient lists, by Horner with a reduction at each step."""
-    acc = []
-    for c in reversed(f):
-        acc = _divmod(_add(_mul(acc, x), (c,), p), modulus, p)[1]
-    return acc
-
-
 def _check_k_regular(spectral: Spectrum):
     degree = spectral.irregular_degree
     if degree is not None:
@@ -147,15 +142,15 @@ def _newton_root(f: Polynomial, modulus: Polynomial) -> Polynomial:
     """
     p, f_values, m = _values(f, modulus)
     deriv = _derivative(f_values, p)
-    x = _divmod((0, 1), m, p)[1]
+    x = _divmod(_lift([0, 1], p), m, p)[1]
     for _ in range(_NEWTON_CAP):
-        fx = _eval_mod(f_values, x, m, p)
-        if not fx:
+        fx = _compose(f_values, x, p, m)
+        if _degree(fx, p) < 0:
             return Polynomial._of(f.field, p, x)
-        g, u = _xgcd(_eval_mod(deriv, x, m, p), m, p)
-        if len(g) != 1:  # pragma: no cover - f is separable
+        g, u = _xgcd(_compose(deriv, x, p, m), m, p)
+        if _degree(g, p):  # pragma: no cover - f is separable
             raise NoModularInverse("f'(x) is not invertible modulo the modulus")
-        x = _divmod(_add(x, _mul(fx, u), p, -1), m, p)[1]
+        x = _divmod(_add(x, _times(fx, u, p), p, -1), m, p)[1]
     raise ArithmeticError("Newton iteration failed to terminate")  # pragma: no cover
 
 
@@ -163,23 +158,24 @@ def _idempotents(fact: Factorization, field) -> list[Polynomial]:
     """CRT idempotents e_i = u_i * (m / m_i^mu_i) mod m of K[X]/(m), m the
     product of the primaries m_i^mu_i and u_i the inverse of the
     complementary product modulo m_i^mu_i: they sum to 1, are pairwise
-    orthogonal and have degree below deg m.  They are computed on coefficient
-    lists, and each becomes a Polynomial once."""
+    orthogonal and have degree below deg m.  They are computed on the kernels'
+    values, and each becomes a Polynomial once."""
     p, *factors = _values(*(h for h, _ in fact.factors))
-    primaries, modulus = [], [1]
+    primaries, modulus = [], _lift([1], p)
     for h, (_, mult) in zip(factors, fact.factors):
-        primary = [1]
+        primary = _lift([1], p)
         for _ in range(mult):
-            primary = _reduced(_mul(primary, h), p)
+            primary = _reduced(_times(primary, h, p), p)
         primaries.append(primary)
-        modulus = _reduced(_mul(modulus, primary), p)
+        modulus = _reduced(_times(modulus, primary, p), p)
     idempotents = []
     for primary in primaries:
         complement = _divmod(modulus, primary, p)[0]
         g, u = _xgcd(complement, primary, p)
-        if len(g) != 1:  # pragma: no cover - factors are coprime
+        if _degree(g, p):  # pragma: no cover - factors are coprime
             raise NoModularInverse("CRT moduli are not coprime")
-        idempotents.append(Polynomial._of(field, p, _divmod(_mul(u, complement), modulus, p)[1]))
+        e = _divmod(_times(u, complement, p), modulus, p)[1]
+        idempotents.append(Polynomial._of(field, p, e))
     return idempotents
 
 

@@ -173,7 +173,7 @@ def poly_from_json(obj) -> Polynomial:
     coeffs = obj["coeffs"]
     if not isinstance(coeffs, list):
         raise SchemaMismatch("coeffs must be an array of scalar strings")
-    return Polynomial(field, [field.parse(_expect_str(c, "coeffs")) for c in coeffs])
+    return Polynomial.parse(field, [_expect_str(c, "coeffs") for c in coeffs])
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ canonical, so equal matrices have equal states, and ``rows`` and ``entry``
 build elements only when asked.  Polynomials are evaluated at a matrix on
 one path, ``eval_polys_at_matrix``: the powers I, M, ..., M^e are computed
 once, reduced mod p over F_p, and every polynomial is a linear combination
-of them.  Over Q the Krylov relations come from fraction-free elimination
+of them, with the integer numerators of its state (coeffs, d) as
+multipliers.  Over Q the Krylov relations come from fraction-free elimination
 with exact division (Bareiss, Math. Comp. 22, 1968), and X -> dX turns the
-minimal polynomial of a into M's.  Only with quadratic entries (p None) are
+minimal polynomial of a into M's on the integers, as the state
+(mu_k d^k, lead d^deg).  Only with quadratic entries (p None) are
 the elements stored and the loops run on them.  ``rank`` and ``inverse``
 always do, in one Gauss-Jordan loop (``inverse`` reduces [M | I]).
 
@@ -47,7 +49,7 @@ from .errors import (
     NotKRegular,
 )
 from .poly import Factorization, Polynomial, _mul, factor, squarefree_part
-from .scalar import FpElement, QuadElement, is_k_regular_degree
+from .scalar import FpElement, QuadElement, _scalar_value, is_k_regular_degree, parse_values
 
 __all__ = [
     "Matrix",
@@ -104,13 +106,11 @@ class Matrix:
     def parse(cls, field, rows) -> "Matrix":
         """From rows of literals, each read as ``field.parse`` reads it, with
         no element built: all at once by ``int`` when it reads them all."""
-        rows, p = _square(rows), field.characteristic
-        try:
-            return cls._of(field, p, [[int(s, 10) for s in row] for row in rows])
-        except (TypeError, ValueError):
-            values = [[field.parse_value(s) for s in row] for row in rows]
-        d = math.lcm(*(k for row in values for _, k in row))
-        return cls._of(field, p, [[x * (d // k) for x, k in row] for row in values], d)
+        rows = _square(rows)
+        n = len(rows)
+        values, d = parse_values(field, [s for row in rows for s in row])
+        rows = [values[i : i + n] for i in range(0, n * n, n)]
+        return cls._of(field, field.characteristic, rows, d)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
@@ -303,18 +303,6 @@ def _canonical(field, p, rows, d) -> tuple:
     return 0, tuple(tuple([x // g for x in row]) for row in rows), d // g
 
 
-def _scalar_value(field, c) -> tuple:
-    """(k, den) with c = k / den, for c an int or a ground element of field."""
-    p = field.characteristic
-    if isinstance(c, FpElement) and p:
-        if c.p != p:
-            raise FieldMismatch(f"mixed moduli {p} and {c.p}")
-        return c.residue, 1
-    if isinstance(c, int) or isinstance(c, Fraction) and not p:
-        return c.numerator, c.denominator
-    raise TypeError(f"cannot scale a matrix over {field!r} by {c!r}")
-
-
 def _values(*ms):
     """(p, (rows, d) for each m): the state of each m, m being rows / d.
 
@@ -375,8 +363,8 @@ def eval_polys_at_matrix(polys, m: Matrix) -> list[Matrix]:
     The table I, a, ..., a^e (e the largest degree, m = a / d) takes e - 1
     products on ``_values``, however many polynomials share it, and over F_p
     each power is reduced mod p before the next product; over Q,
-    f(m) = sum c_k L d^(e-k) a^k / (L d^e) for f of degree e, L the lcm of
-    the denominators of its coefficients c_k.
+    f(m) = sum c_k d^(e-k) a^k / (L d^e) for f = (c_0, ..., c_e) / L of
+    degree e, its state.
     """
     field, n = m.field, m.n
     if any(f.field != field for f in polys):
@@ -399,15 +387,14 @@ def eval_polys_at_matrix(polys, m: Matrix) -> list[Matrix]:
 
 
 def _coefficients(f: Polynomial, p, d: int):
-    """(the multipliers of a^0, a^1, ... in f(a / d), their denominator)."""
-    if p:
-        return f._coeffs, 1
+    """(the multipliers of a^0, a^1, ... in f(a / d), their denominator),
+    from f's state: its numerators and d over Q, its residues over F_p."""
     if p is None:
         return f.coeffs, 1
+    if d == 1:  # always over F_p
+        return f._coeffs, f._d
     e = max(f.degree, 0)
-    lcm = math.lcm(*(c.denominator for c in f.coeffs))
-    scaled = [c.numerator * (lcm // c.denominator) * d ** (e - k) for k, c in enumerate(f.coeffs)]
-    return scaled, lcm * d**e
+    return [c * d ** (e - k) for k, c in enumerate(f._coeffs)], f._d * d**e
 
 
 def minimal_polynomial(m: Matrix) -> Polynomial:
@@ -449,8 +436,8 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
             mu = [c // content for c in mu]
     if p is None and not all(map(field.is_ground, mu)):
         raise FieldMismatch("a Krylov relation has coefficients outside the ground field")
-    if p == 0:  # monic, and X -> dX
-        mu = [Fraction(c, mu[-1] * d ** (len(mu) - 1 - k)) for k, c in enumerate(mu)]
+    if p == 0:  # monic, and X -> dX: mu(dX) / (lead d^deg)
+        mu = [c * d**k for k, c in enumerate(mu)], mu[-1] * d ** (len(mu) - 1)
     return Polynomial(field, mu) if p is None else Polynomial._of(field, p, mu)
 
 

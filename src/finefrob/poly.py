@@ -31,21 +31,27 @@ Factorization is complete for both supported ground fields:
 A hard degree cap keeps the recombination bounded; factors are returned in a
 canonical order so downstream results are deterministic.
 
-Arithmetic runs on coefficient lists, constant first, as a ``Polynomial``
-stores them and ``_values`` reads them: int residues over F_p, Fractions
-over Q.  There is one kernel per job, ``_mul``, ``_divmod``, ``_gcd``,
-``_xgcd`` (which gives the inverse modulo m) and ``_powmod``; the ring operators of ``Polynomial``, ``poly_gcd``,
-``poly_xgcd`` and ``poly_powmod`` are thin wrappers over them that build one
-``Polynomial`` per result, through ``Polynomial._of``, which coerces nothing.
-Factoring over F_p (Cantor-Zassenhaus with the p-th-root descent), the
-squarefree certificate modulo a prime, and the modular factors and Hensel
-lifts of Zassenhaus' algorithm stay on the lists from start to end: ``factor``
-builds a ``Polynomial`` only for each factor it returns.  The Newton and CRT
-routines of ``jordan_chevalley`` use the same kernels.
+A polynomial stores the form its kernels compute on, (coeffs, d) for
+coeffs / d, as FLINT's fmpq_poly keeps integer numerators over one
+denominator: residues in [0, p) over F_p with d = 1, and over Q integer
+numerators over d > 0 prime to them all; ``coeffs`` and ``coeff`` build
+elements only when asked.  There is one kernel per job for both fields,
+``_times`` (the int product ``_mul`` with the denominators), ``_add``,
+``_divmod``, ``_gcd``, ``_xgcd`` (which gives the inverse modulo m),
+``_powmod`` and ``_compose``; over Q ``_divmod`` is pseudo-division on the
+numerators, so a monic integral divisor costs no scaling.  The operators of
+``Polynomial``, ``poly_gcd``, ``poly_xgcd`` and ``poly_powmod`` wrap them and
+build one ``Polynomial`` per result, made canonical by ``Polynomial._of``.
+Factoring over F_p, the squarefree certificate modulo a prime, and the
+modular factors and Hensel lifts of Zassenhaus' algorithm stay on residue
+lists from start to end: ``factor`` builds a ``Polynomial`` only for each
+factor it returns.  The Newton and CRT routines of ``jordan_chevalley`` use
+the same kernels.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -65,7 +71,14 @@ from .errors import (
     Reducible,
     ZeroPolynomial,
 )
-from .scalar import QQ, FpElement, is_k_regular_degree, is_probable_prime
+from .scalar import (
+    QQ,
+    FpElement,
+    _scalar_value,
+    is_k_regular_degree,
+    is_probable_prime,
+    parse_values,
+)
 
 __all__ = [
     "Polynomial",
@@ -90,38 +103,53 @@ SQUAREFREE_PRIME = 2**31 - 1  # squarefree_part certifies over Q modulo it
 class Polynomial:
     """Univariate polynomial over a fixed ground field, constant term first.
 
-    Its state is the trimmed coefficient tuple the kernels compute on: int
-    residues in [0, p) over F_p, Fractions over Q.  ``coeffs`` and ``coeff``
-    are views that build the elements.
+    Its state is the kernel form (coeffs, d) of ``_values``, the polynomial
+    being coeffs / d with coeffs trimmed: over F_p int residues in [0, p)
+    with d = 1; over Q integer numerators over d > 0 with gcd(d, every
+    numerator) = 1, so d = 1 for zero.  Equal polynomials have equal states.
+    ``coeffs`` and ``coeff`` are views that build elements on each call.
     """
 
-    __slots__ = ("field", "_coeffs")
+    __slots__ = ("field", "_coeffs", "_d")
 
     def __init__(self, field, coeffs):
-        cs = [field.coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
+        """From elements of ``field`` or ints, each coerced once."""
+        cs, p = [field.coerce(c) for c in coeffs], field.characteristic
+        if p:
+            value = [c.residue for c in cs]
+        else:
+            d = math.lcm(*(c.denominator for c in cs))
+            value = [c.numerator * (d // c.denominator) for c in cs], d
         self.field = field
-        self._coeffs = tuple(c.residue for c in cs) if field.characteristic else tuple(cs)
+        self._coeffs, self._d = _state(value, p)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def _of(cls, field, p, values) -> "Polynomial":
-        """From a kernel's trimmed list, p as ``_values`` gave it: residues
-        reduced mod p, Fractions kept, nothing coerced again."""
+    def _of(cls, field, p, value) -> "Polynomial":
+        """From a kernel's value, p as ``_values`` gave it, in canonical form:
+        residues reduced mod p, numerators and d divided by their gcd, d > 0,
+        trailing zeros dropped."""
         f = object.__new__(cls)
         f.field = field
-        f._coeffs = tuple(c % p for c in values) if p else tuple(map(QQ.coerce, values))
+        f._coeffs, f._d = _state(value, p)
         return f
 
     @classmethod
+    def parse(cls, field, literals) -> "Polynomial":
+        """From coefficient literals, each read as ``field.parse`` reads it,
+        with no element built."""
+        p = field.characteristic
+        coeffs, d = parse_values(field, literals)
+        return cls._of(field, p, coeffs if p else (coeffs, d))
+
+    @classmethod
     def zero(cls, field) -> "Polynomial":
-        return cls(field, ())
+        return cls._of(field, field.characteristic, _lift([], field.characteristic))
 
     @classmethod
     def one(cls, field) -> "Polynomial":
-        return cls(field, (field.one,))
+        return cls._of(field, field.characteristic, _lift([1], field.characteristic))
 
     @classmethod
     def constant(cls, field, c) -> "Polynomial":
@@ -129,7 +157,7 @@ class Polynomial:
 
     @classmethod
     def x(cls, field) -> "Polynomial":
-        return cls(field, (field.zero, field.one))
+        return cls._of(field, field.characteristic, _lift([0, 1], field.characteristic))
 
     # -- basic queries -------------------------------------------------------
 
@@ -145,19 +173,19 @@ class Polynomial:
     @property
     def coeffs(self) -> tuple:
         """The coefficients as elements, constant first, built on this call."""
-        p = self.field.characteristic
-        return tuple(FpElement(c, p) for c in self._coeffs) if p else self._coeffs
+        p, d = self.field.characteristic, self._d
+        return tuple(FpElement(c, p) if p else Fraction(c, d) for c in self._coeffs)
 
     def coeff(self, i: int):
         if not 0 <= i < len(self._coeffs):
             return self.field.zero
-        p = self.field.characteristic
-        return FpElement(self._coeffs[i], p) if p else self._coeffs[i]
+        p, c = self.field.characteristic, self._coeffs[i]
+        return FpElement(c, p) if p else Fraction(c, self._d)
 
     def strings(self) -> list:
-        """Each coefficient as ``field.to_str`` prints it."""
-        to_str = self.field.value_str
-        return [to_str(c.numerator, c.denominator) for c in self._coeffs]
+        """Each coefficient as ``field.to_str`` prints it, in lowest terms."""
+        to_str, d = self.field.value_str, self._d
+        return [to_str(c, d) for c in self._coeffs]
 
     @property
     def leading(self):
@@ -167,12 +195,12 @@ class Polynomial:
 
     @property
     def is_monic(self) -> bool:
-        return not self.is_zero and self._coeffs[-1] == 1
+        return not self.is_zero and self._coeffs[-1] == self._d
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        if self._coeffs[-1] == 1:
+        if self._coeffs[-1] == self._d:
             return self
         p, a = _values(self)
         return Polynomial._of(self.field, p, _monic(a, p))
@@ -199,18 +227,19 @@ class Polynomial:
 
     def __neg__(self):
         p, a = _values(self)
-        return Polynomial._of(self.field, p, _reduced([-c for c in a], p))
+        return Polynomial._of(self.field, p, _scale(a, -1, p))
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check(other)
             p, a, b = _values(self, other)
-            return Polynomial._of(self.field, p, _reduced(_mul(a, b), p))
+            return Polynomial._of(self.field, p, _times(a, b, p))
         try:
-            c = self.field.coerce(other)
+            k, den = _scalar_value(self.field, other)
         except (TypeError, FieldMismatch):
             return NotImplemented
-        return Polynomial(self.field, [c * a for a in self.coeffs])
+        p, a = _values(self)
+        return Polynomial._of(self.field, p, _scale(a, k, p, den))
 
     __rmul__ = __mul__
 
@@ -255,23 +284,24 @@ class Polynomial:
     def compose(self, other: "Polynomial") -> "Polynomial":
         """self(other(X)) by Horner over the polynomial ring."""
         self._check(other)
-        acc = Polynomial.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * other + Polynomial.constant(self.field, c)
-        return acc
+        p, a, b = _values(self, other)
+        return Polynomial._of(self.field, p, _compose(a, b, p))
 
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.field == other.field and self._coeffs == other._coeffs
+        return (self.field == other.field and self._d == other._d
+                and self._coeffs == other._coeffs)
 
     def __hash__(self):
-        return hash((self.field, self._coeffs))
+        return hash((self.field, self._coeffs, self._d))
 
     def sort_key(self):
-        return (self.degree, self._coeffs)
+        """Orders by degree, then by the coefficients from the constant term
+        as rationals (residues over F_p), as tuples of elements compare."""
+        return _ORDER(self)
 
     def __repr__(self):
         if self.is_zero:
@@ -290,50 +320,108 @@ class Polynomial:
         return "Poly(" + " + ".join(terms) + ")"
 
 
+def _compare(f: Polynomial, g: Polynomial) -> int:
+    """-1, 0 or 1 as f's sort key is below, equal to or above g's: a / d and
+    b / e compare as a e and b d, since d, e > 0."""
+    a = (f.degree, *(c * g._d for c in f._coeffs))
+    b = (g.degree, *(c * f._d for c in g._coeffs))
+    return (a > b) - (a < b)
+
+
+_ORDER = functools.cmp_to_key(_compare)
+
+
+def _state(value, p) -> tuple:
+    """The state (coeffs, d) of a kernel's value."""
+    if p:
+        return tuple(_reduced(value, p)), 1
+    coeffs, d = _reduced(value, 0)
+    return tuple(coeffs), d
+
+
 def _values(*polys):
-    """(p, the state of each poly) for the kernels: p and int residues in
-    [0, p) over F_p, else 0 and the Fractions.  A kernel result becomes a
-    ``Polynomial`` through ``Polynomial._of``."""
-    return (polys[0].field.characteristic, *(f._coeffs for f in polys))
+    """(p, the value of each poly) for the kernels: p and the residues in
+    [0, p) over F_p, else 0 and the pair (numerators, d).  A kernel result
+    becomes a ``Polynomial`` through ``Polynomial._of``."""
+    p = polys[0].field.characteristic
+    if p:
+        return (p, *(f._coeffs for f in polys))
+    return (0, *((f._coeffs, f._d) for f in polys))
 
 
 # ---------------------------------------------------------------------------
-# kernels on coefficient lists, constant first: int residues over F_p (p > 0),
-# Fractions over Q (p = 0), where an int may stand for a value it equals
+# kernels on values, constant first: lists of int residues over F_p (p > 0),
+# pairs (integer numerators, d > 0) over Q (p = 0), the polynomial being
+# numerators / d; results are canonical unless a kernel says otherwise
 # ---------------------------------------------------------------------------
 
-def _reduced(a, p) -> list:
-    """a as a new list, reduced mod p over F_p, without trailing zeros."""
-    a = [c % p for c in a] if p else list(a)
+def _lift(ints, p):
+    """The value of a polynomial with int coefficients (reduced over F_p)."""
+    return ints if p else (ints, 1)
+
+
+def _degree(a, p) -> int:
+    """The degree of a trimmed value; -1 for zero."""
+    return len(a if p else a[0]) - 1
+
+
+def _reduced(a, p):
+    """a as a new canonical value: reduced mod p and trimmed over F_p;
+    trimmed, with d > 0 and the gcd of d and the numerators divided out, over Q."""
+    if p:
+        a = [c % p for c in a]
+    else:
+        a, d = a
+        a = list(a)
     while a and not a[-1]:
         a.pop()
-    return a
+    if p:
+        return a
+    g = math.gcd(d, *a)
+    if d < 0:
+        g = -g
+    return (a, d) if g == 1 else ([c // g for c in a], d // g)
 
 
-def _inv(c, p):
-    return pow(c, -1, p) if p else Fraction(1) / c
+def _inv(a, p) -> tuple[int, int]:
+    """(k, den) with k / den the inverse of a's leading coefficient (den 1
+    over F_p)."""
+    if p:
+        return pow(a[-1], -1, p), 1
+    return a[1], a[0][-1]
 
 
-def _scale(a, c, p) -> list:
-    """c a for a nonzero c."""
-    return [c * x % p for x in a] if p else [c * x for x in a]
+def _scale(a, k, p, den=1):
+    """(k / den) a, den nonzero (1 over F_p); over F_p trimmed only for k != 0."""
+    if p:
+        return [k * x % p for x in a]
+    return _reduced(([k * x for x in a[0]], a[1] * den), 0)
 
 
-def _monic(a, p) -> list:
-    return _scale(a, _inv(a[-1], p), p)
+def _monic(a, p):
+    k, den = _inv(a, p)
+    return _scale(a, k, p, den)
 
 
-def _add(a, b, p, sign=1) -> list:
-    """a + sign b, reduced and trimmed."""
-    return _reduced([x + sign * y for x, y in zip_longest(a, b, fillvalue=0)], p)
+def _add(a, b, p, sign=1):
+    """a + sign b."""
+    if p:
+        return _reduced([x + sign * y for x, y in zip_longest(a, b, fillvalue=0)], p)
+    (a, da), (b, db) = a, b
+    d = math.lcm(da, db)
+    sa, sb = d // da, sign * (d // db)
+    return _reduced(([sa * x + sb * y for x, y in zip_longest(a, b, fillvalue=0)], d), 0)
 
 
-def _derivative(a, p) -> list:
-    return _reduced([i * c for i, c in enumerate(a)][1:], p)
+def _derivative(a, p):
+    if p:
+        return _reduced([i * c for i, c in enumerate(a)][1:], p)
+    return _reduced(([i * c for i, c in enumerate(a[0])][1:], a[1]), 0)
 
 
 def _mul(a, b) -> list:
-    """The coefficients of a b, unreduced, skipping the zero ones of a."""
+    """The coefficients of a b for int lists a and b, unreduced, skipping the
+    zero ones of a."""
     out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
         if c:
@@ -341,58 +429,96 @@ def _mul(a, b) -> list:
     return out
 
 
-def _divmod(a, b, p) -> tuple[list, list]:
-    """(quotient, remainder) of a by a nonzero trimmed b, both reduced and
-    trimmed; over F_p, a may be unreduced."""
-    rem = list(a)
+def _times(a, b, p):
+    """a b, not canonical: unreduced residues over F_p."""
+    if p:
+        return _mul(a, b)
+    return _mul(a[0], b[0]), a[1] * b[1]
+
+
+def _divmod(a, b, p) -> tuple:
+    """(quotient, remainder) of a by a nonzero b; a need not be canonical.
+
+    Over F_p each quotient coefficient is the leading residue times the
+    inverse of b's.  Over Q it is pseudo-division on the numerators,
+    c A = Q B + R: a leading numerator that b's, L, does not divide scales
+    the remainder and the quotient so far by L / gcd(lead, L), so a monic
+    integral b costs no scaling; then a = (Q db / (c da)) b + R / (c da).
+    """
+    if p:
+        rem, lc = list(a), pow(b[-1], -1, p)
+    else:
+        (rem, da), (b, db) = (list(a[0]), a[1]), b
+        lc, c = b[-1], 1
     dd = len(b) - 1
-    inv = _inv(b[-1], p)
     quo = [0] * max(len(rem) - dd, 0)
-    # the top coefficient is reduced when it is read, the rest once at the end
+    # over F_p the top coefficient is reduced when it is read, the rest once at the end
     for k in range(len(rem) - 1 - dd, -1, -1):
         lead = rem.pop()
         if p:
-            lead %= p
+            lead = lead % p * lc % p
+        else:
+            if lead % lc:
+                s = abs(lc) // math.gcd(lead, lc)
+                rem, quo, c, lead = [s * x for x in rem], [s * x for x in quo], c * s, lead * s
+            lead //= lc
         if lead:
-            c = quo[k] = lead * inv % p if p else lead * inv
-            rem[k : k + dd] = [r - c * e for r, e in zip(rem[k:], b)]
-    return _reduced(quo, p), _reduced(rem, p)
+            quo[k] = lead
+            rem[k : k + dd] = [r - lead * e for r, e in zip(rem[k:], b)]
+    if p:
+        return _reduced(quo, p), _reduced(rem, p)
+    return _reduced(([x * db for x in quo], c * da), 0), _reduced((rem, c * da), 0)
 
 
-def _gcd(a, b, p) -> list:
-    """The monic gcd (Euclid); BothZero on gcd(0, 0)."""
-    if not a and not b:
+def _gcd(a, b, p):
+    """The monic gcd (Euclid); BothZero on gcd(0, 0).  Over Q each remainder
+    is replaced by its primitive numerators, which the gcd does not see."""
+    if _degree(a, p) < 0 and _degree(b, p) < 0:
         raise BothZero("gcd(0, 0) is undefined")
-    while b:
+    while (b if p else b[0]):  # b != 0, tested inline: no call per step on F_p
         a, b = b, _divmod(a, b, p)[1]
+        if not p and b[0]:
+            b = _primitive(b[0]), 1
     return _monic(a, p)
 
 
-def _xgcd(a, b, p) -> tuple[list, list]:
+def _xgcd(a, b, p) -> tuple:
     """(d, u): d the monic gcd and u a = d modulo b, so u is the inverse of a
     modulo b when d = 1; BothZero on gcd(0, 0)."""
-    if not a and not b:
+    if _degree(a, p) < 0 and _degree(b, p) < 0:
         raise BothZero("gcd(0, 0) is undefined")
-    u0, u1 = [1], []
-    while b:
+    u0, u1 = _lift([1], p), _lift([], p)
+    while (b if p else b[0]):
         q, r = _divmod(a, b, p)
         a, b = b, r
-        u0, u1 = u1, _add(u0, _mul(q, u1), p, -1)
-    inv = _inv(a[-1], p)
-    return _scale(a, inv, p), _scale(u0, inv, p)
+        u0, u1 = u1, _add(u0, _times(q, u1, p), p, -1)
+    k, den = _inv(a, p)
+    return _scale(a, k, p, den), _scale(u0, k, p, den)
 
 
-def _powmod(a, e: int, m, p) -> list:
+def _powmod(a, e: int, m, p):
     """a^e modulo a nonzero m (square and multiply); 1 when e = 0."""
-    result = [1]
+    result = _lift([1], p)
     acc = _divmod(a, m, p)[1]
     while e:
         if e & 1:
-            result = _divmod(_mul(result, acc), m, p)[1]
+            result = _divmod(_times(result, acc, p), m, p)[1]
         e >>= 1
         if e:
-            acc = _divmod(_mul(acc, acc), m, p)[1]
+            acc = _divmod(_times(acc, acc, p), m, p)[1]
     return result
+
+
+def _compose(f, g, p, m=None):
+    """f(g) by Horner, reduced modulo a nonzero m at each step when m is
+    given; over Q on f's numerators, divided by its d at the end."""
+    coeffs, den = (f, 1) if p else f
+    acc = _lift([], p)
+    for c in reversed(coeffs):
+        acc = _add(_times(acc, g, p), _lift([c], p), p)
+        if m is not None:
+            acc = _divmod(acc, m, p)[1]
+    return acc if den == 1 else _reduced((acc[0], acc[1] * den), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +537,9 @@ def poly_xgcd(f: Polynomial, g: Polynomial):
     f._check(g)
     p, a, b = _values(f, g)
     d, u = _xgcd(a, b, p)
-    v = _divmod(_add(d, _mul(u, a), p, -1), b, p)[0] if b else []
+    v = _lift([], p)
+    if _degree(b, p) >= 0:
+        v = _divmod(_add(d, _times(u, a, p), p, -1), b, p)[0]
     return tuple(Polynomial._of(f.field, p, w) for w in (d, u, v))
 
 
@@ -492,8 +620,10 @@ def factor(f: Polynomial) -> Factorization:
 def _factor_q(f: Polynomial) -> dict[Polynomial, int]:
     """Factor a monic polynomial over Q (degree >= 1)."""
     irreducibles = _factor_squarefree_q(squarefree_part(f))
-    mults, rem = _multiplicities(f.coeffs, [h.coeffs for h in irreducibles], 0)
-    if len(rem) != 1:
+    # primitive numerators divide exactly (Gauss's lemma): no pseudo-division scales
+    p, a, *hs = _values(f, *irreducibles)
+    mults, rem = _multiplicities(a, hs, p)
+    if _degree(rem, p) != 0:
         raise FactorizationFailed("incomplete factor set")  # pragma: no cover
     return dict(zip(irreducibles, mults))
 
@@ -505,7 +635,7 @@ def _multiplicities(f, irreducibles, p):
         e = 0
         while True:
             q, r = _divmod(f, h, p)
-            if r:
+            if (r if p else r[0]):
                 break
             f, e = q, e + 1
         mults.append(e)
@@ -516,28 +646,26 @@ def _factor_squarefree_q(f: Polynomial) -> list[Polynomial]:
     """Monic irreducible factors of a monic squarefree polynomial over Q."""
     out: list[Polynomial] = []
     # strip a power of X
-    if f.coeff(0) == QQ.zero:
+    if not f._coeffs[0]:
         out.append(Polynomial.x(QQ))
-        f = f // Polynomial.x(QQ)
+        f = f // out[-1]
     if f.degree == 0:
         return out
-    coeffs = _clear_denominators(f)
-    for root_num, root_den in _rational_roots(coeffs):
-        out.append(Polynomial(QQ, [Fraction(-root_num, root_den), Fraction(1)]))
+    for num, den in _rational_roots(_clear_denominators(f)):
+        out.append(Polynomial._of(QQ, 0, ([-num, den], den)))
         f = f // out[-1]
     if f.degree == 0:
         return out
     if f.degree <= 3:
         out.append(f)  # no rational roots, so degrees 1..3 are settled
         return out
-    out.extend(Polynomial._of(QQ, 0, _monic(h, 0)) for h in _zassenhaus(_clear_denominators(f)))
+    out.extend(Polynomial._of(QQ, 0, (h, h[-1])) for h in _zassenhaus(_clear_denominators(f)))
     return out
 
 
 def _clear_denominators(f: Polynomial) -> list[int]:
     """Primitive integer coefficient list with positive leading coefficient."""
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    return _primitive([int(c * den) for c in f.coeffs])
+    return _primitive(list(f._coeffs))
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -804,8 +932,9 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     if f.field.characteristic == 0:
         if _squarefree_mod(_clear_denominators(f), SQUAREFREE_PRIME) is not None:
             return f.monic()
-        a = f.coeffs
-        return Polynomial._of(f.field, 0, _monic(_divmod(a, _gcd(a, _derivative(a, 0), 0), 0)[0], 0))
+        p, a = _values(f)
+        quotient = _divmod(a, _gcd(a, _derivative(a, p), p), p)[0]
+        return Polynomial._of(f.field, p, _monic(quotient, p))
     return factor(f).radical(f.field)
 
 

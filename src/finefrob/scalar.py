@@ -619,6 +619,31 @@ class QuadElement:
 _QUAD_TOKEN = object()
 
 
+def parse_values(field, literals) -> tuple[list, int]:
+    """(numerators, d) with numerators / d the literals read as ``field.parse``
+    reads them, no element built: all at once by ``int`` when it reads them
+    all, else one by one by ``field.parse_value`` over the lcm of their
+    denominators (d = 1 over F_p)."""
+    try:
+        return [int(s, 10) for s in literals], 1
+    except (TypeError, ValueError):
+        values = [field.parse_value(s) for s in literals]
+    d = math.lcm(*(k for _, k in values))
+    return [x * (d // k) for x, k in values], d
+
+
+def _scalar_value(field, c) -> tuple[int, int]:
+    """(k, den) with c = k / den, for c an int or a ground element of field."""
+    p = field.characteristic
+    if isinstance(c, FpElement) and p:
+        if c.p != p:
+            raise FieldMismatch(f"mixed moduli {p} and {c.p}")
+        return c.residue, 1
+    if isinstance(c, int) or isinstance(c, Fraction) and not p:
+        return c.numerator, c.denominator
+    raise TypeError(f"cannot scale by {c!r} over {field!r}")
+
+
 def _quad(field, a, b, d: int):
     """a + b*sqrt(d) for ground elements a, b and a canonical d; a when b == 0."""
     if not b:

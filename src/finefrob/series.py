@@ -582,20 +582,25 @@ def _arch_tails(dec: FineFrobenius, spec: SeriesSpec, terms: int):
 def _embed_with_bounds(
     exact: Matrix, tail_items, precision: int, terms: int
 ) -> ArchSeriesMatrix:
-    dim, rows = exact.n, exact.rows
-    tails = [(tail, mat.rows) for tail, mat in tail_items]
+    """Each entry x / d of ``exact`` as an mpf, with the bound
+    ``_round_slack`` + sum tail |M[i][j]| over the tail items (tail, M) made
+    one reduced Fraction: the tails run on the integer numerators of each M,
+    over the lcm ``den`` of the tails' denominators."""
+    dim = exact.n
+    _, (a, d) = _values(exact)
+    states = [(tail, *_values(mat)[1]) for tail, mat in tail_items]
+    den = math.lcm(*(tail.denominator * k for tail, _, k in states))
+    tails = [(tail.numerator * (den // (tail.denominator * k)), rows) for tail, rows, k in states]
+    unit = d * 2 ** (precision - 4)  # slack (1 + |x / d|) / 2^(precision - 4) = (d + |x|) / unit
     with mpmath.workprec(precision):
         values = mpmath.matrix(dim, dim)
         bounds = mpmath.matrix(dim, dim)
         for i in range(dim):
             for j in range(dim):
-                val = rows[i][j]
-                err = _round_slack(precision, val)
-                for tail, mat in tails:
-                    if mat[i][j]:
-                        err += tail * abs(mat[i][j])
-                values[i, j] = _to_mpf(val)
-                bounds[i, j] = _to_mpf(err)
+                x = a[i][j]
+                err = sum(t * abs(rows[i][j]) for t, rows in tails)
+                values[i, j] = _to_mpf(Fraction(x, d))
+                bounds[i, j] = _to_mpf(Fraction((d + abs(x)) * den + err * unit, unit * den))
     return ArchSeriesMatrix(values, bounds, precision, terms)
 
 

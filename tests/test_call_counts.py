@@ -25,7 +25,8 @@ Factoring over F_p runs on residue lists and builds a ``Polynomial`` only for
 each factor it returns, counted by wrapping ``Polynomial.__init__`` and
 ``Polynomial._of``.  The F_p table of powers hands the product kernel only
 reduced residues; ``is_nilpotent`` squares until a power is zero; and the
-matrix operations and the JSON round trip, on the stored (p, rows, d) state,
+matrix and polynomial operations, the Newton root, the CRT idempotents and
+the JSON round trips, on the stored (p, rows, d) and (coeffs, d) states,
 coerce nothing and build no element, counted by wrapping ``coerce``,
 ``FpElement.__init__`` and ``Fraction.__new__``.
 """
@@ -39,6 +40,7 @@ from pathlib import Path
 import pytest
 
 import finefrob.frobenius
+import finefrob.jordan_chevalley
 import finefrob.jsonio
 import finefrob.matrix
 import finefrob.poly
@@ -54,6 +56,8 @@ from finefrob import (
     eval_poly_at_matrix,
     eval_polys_at_matrix,
     is_nilpotent,
+    poly_gcd,
+    poly_xgcd,
     quad_element,
     spectrum,
     verify_complete_jc,
@@ -508,19 +512,34 @@ DOCUMENTS = {
 }
 
 
+POLY_DOCUMENTS = {
+    "Q": ["1/2", "0", "3", "-1", "5/3"],
+    "Fp:7": ["3", "0", "6", "1"],
+}
+
+
 @pytest.mark.parametrize("tag", DOCUMENTS)
 def test_kernel_operations_build_no_element(tag, monkeypatch):
-    """Matrices store (p, rows, d), so over Q with denominators and over F_7
-    a product, a sum, a difference, a scale, a table of powers and a JSON
-    round trip coerce nothing and build no ``Fraction`` or ``FpElement``,
-    counted by wrapping ``coerce`` of both fields, ``FpElement.__init__`` and
-    ``Fraction.__new__``."""
+    """Matrices store (p, rows, d) and polynomials (coeffs, d), so over Q
+    with denominators and over F_7 a matrix product, sum, difference, scale,
+    table of powers and JSON round trip, a polynomial product, sum, divmod,
+    gcd, extended gcd, composition and JSON round trip, the Newton root and
+    the CRT idempotents coerce nothing and build no ``Fraction`` or
+    ``FpElement``, counted by wrapping ``coerce`` of both fields,
+    ``FpElement.__init__`` and ``Fraction.__new__``."""
     doc = {"field": tag, "n": 3, "entries": DOCUMENTS[tag]}
+    poly_doc = {"field": tag, "coeffs": POLY_DOCUMENTS[tag]}
     field = finefrob.scalar.field_from_tag(tag)
     other = Matrix(field, [[field.from_int(i - 2 * j) for j in range(3)] for i in range(3)])
     c = field.parse("-2/3")
     polys = [Polynomial(field, [field.parse(s) for s in ("1/2", "0", "3", "-1", "5/3")]),
              Polynomial.x(field)]
+    f, g = polys[0], Polynomial(field, [field.parse(s) for s in ("-1/4", "2/5", "3")])
+    # q = (X - 1/2)(X^2 + 1/4) is squarefree over Q and F_7; mu = (X - 1/2) q
+    linear, quadratic = (Polynomial(field, [field.parse(s) for s in cs])
+                         for cs in (("-1/2", "1"), ("1/4", "0", "1")))
+    q, mu = linear * quadratic, linear**2 * quadratic
+    fact = finefrob.poly.factor(mu)
     built = collections.Counter()
 
     def counting(name, fn):
@@ -540,12 +559,27 @@ def test_kernel_operations_build_no_element(tag, monkeypatch):
         m = finefrob.jsonio.matrix_from_json(doc)
         printed = finefrob.jsonio.matrix_to_json(m)
         results = [m * other, m + other, m - other, m.scale(c), *eval_polys_at_matrix(polys, m)]
+        read = finefrob.jsonio.poly_from_json(poly_doc)
+        poly_printed = finefrob.jsonio.poly_to_json(read)
+        poly_results = [f * g, f + g, *divmod(f, g), poly_gcd(f * g, g * g),
+                        *poly_xgcd(f, g), f.compose(g)]
+        root = finefrob.jordan_chevalley._newton_root(q, mu)
+        idempotents = finefrob.jordan_chevalley._idempotents(fact, field)
     finally:
         Fraction.__new__ = fraction_new
         monkeypatch.undo()
     assert built == {}
-    assert printed == doc
+    assert printed == doc and poly_printed == poly_doc
     a, b = m.rows, other.rows
     assert [r.rows for r in results] == [
         oracles.mat_mul(field, a, b), oracles.mat_add(a, b), oracles.mat_sub(a, b),
         oracles.mat_scale(c, a), *(oracles.poly_eval_matrix(field, list(f.coeffs), a) for f in polys)]
+    product, total, quotient, rem, gcd, d, u, v, composed = poly_results
+    assert list(product.coeffs) == oracles.poly_mul(field, list(f.coeffs), list(g.coeffs))
+    assert total - g == f and quotient * g + rem == f and rem.degree < g.degree
+    assert gcd == g.monic() and d == Polynomial.one(field) and u * f + v * g == d
+    assert composed == sum((g**k * f.coeff(k) for k in range(f.degree + 1)), Polynomial.zero(field))
+    zero = Polynomial.zero(field)
+    assert q.compose(root) % mu == zero and (root - Polynomial.x(field)) ** 2 % mu == zero
+    assert sum(idempotents, Polynomial.zero(field)) == Polynomial.one(field)
+    assert all(e * e % mu == e for e in idempotents)

@@ -1,10 +1,11 @@
 """Polynomial arithmetic, gcd, factorization, and reduced forms."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 from finefrob import (
@@ -526,8 +527,8 @@ def test_gcd_kernels_give_a_bezout_identity(drawn):
         return
     d, u, v = poly_xgcd(f, g)
     p, a, b = _values(f, g)
-    assert _gcd(a, b, p) == list(_values(d)[1])
-    assert _xgcd(a, b, p) == (list(_values(d)[1]), list(_values(u)[1]))
+    assert Polynomial._of(field, p, _gcd(a, b, p)) == d
+    assert tuple(Polynomial._of(field, p, w) for w in _xgcd(a, b, p)) == (d, u)
     assert d.is_monic and poly_gcd(f, g) == d
     bezout = _oracle_add(field, oracles.poly_mul(field, list(u.coeffs), list(f.coeffs)),
                          oracles.poly_mul(field, list(v.coeffs), list(g.coeffs)))
@@ -602,12 +603,32 @@ def test_sort_order_is_canonical():
 # kernels over F_p (int residues), and the rational-root pre-pass
 # ---------------------------------------------------------------------------
 
+BIG = 10**30
+
+
 @st.composite
 def fp_polynomials(draw, count):
-    p = draw(st.sampled_from((3, 7, 1009)))
-    field = PrimeField(p)
-    coeffs = st.lists(st.sampled_from((0, 1, p - 1)) | st.integers(0, p - 1), max_size=20)
+    """(field, polys) over F_3, F_7, F_1009, or Q with numerators and
+    denominators up to about 1e30 (degree at most 6 there, at most 19 over F_p)."""
+    field = draw(st.sampled_from((PrimeField(3), PrimeField(7), PrimeField(1009), QQ)))
+    if field.characteristic:
+        p = field.p
+        coeffs = st.lists(st.sampled_from((0, 1, p - 1)) | st.integers(0, p - 1), max_size=20)
+    else:
+        small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+        large = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+        coeffs = st.lists(st.sampled_from((0, 1, -1)).map(Fraction) | small | large, max_size=7)
     return field, [Polynomial(field, draw(coeffs)) for _ in range(count)]
+
+
+def _is_canonical(f):
+    """The state is trimmed, residues in [0, p) with d = 1 over F_p, and over
+    Q d > 0 prime to every numerator."""
+    p, cs, d = f.field.characteristic, f._coeffs, f._d
+    trimmed = not cs or cs[-1] != 0
+    if p:
+        return trimmed and d == 1 and all(0 <= c < p for c in cs)
+    return trimmed and d > 0 and math.gcd(d, *cs) == 1
 
 
 def _oracle_add(field, f, g):
@@ -616,15 +637,44 @@ def _oracle_add(field, f, g):
     return oracles.poly_trim(field, [a + b for a, b in zip(f, g)])
 
 
+def _element_key(f):
+    """The old sort key: the degree, then the coefficients as rationals (Q)
+    or residues (F_p)."""
+    return f.degree, tuple(c if f.field.characteristic == 0 else c.residue for c in f.coeffs)
+
+
 @given(fp_polynomials(count=2))
+@example((QQ, [q(Fraction(1, 2), 1), q(1, 1)]))  # numerators (1, 2) over 2 and (1, 1) over 1
+@example((QQ, [q(Fraction(-5, 3), Fraction(7, 2), 1), q(-1, Fraction(7, 2), 1)]))
 def test_fp_product_matches_oracle(drawn):
+    """The product agrees with the oracle; equal polynomials built by
+    different routes have equal state and hash; every result is canonical;
+    and ``sort_key`` orders as the tuples of element coefficients do."""
     field, (f, g) = drawn
     expected = oracles.poly_trim(field, oracles.poly_mul(field, list(f.coeffs), list(g.coeffs)))
     assert list((f * g).coeffs) == expected
+    two = field.from_int(2)
+    routes = [(f + g) - g, -(-f), f * two * (field.one / two), Polynomial(field, f.coeffs),
+              Polynomial.parse(field, f.strings()), f.compose(Polynomial.x(field))]
+    if not g.is_zero:
+        routes.append(g * f // g)
+    for h in routes:
+        assert (h._coeffs, h._d, hash(h)) == (f._coeffs, f._d, hash(f))
+    divisor = Polynomial.one(field) if g.is_zero else g
+    assert all(map(_is_canonical, [f, g, f * g, f + g, f - g, -f, *divmod(f, divisor)]))
+    for a, b in ((f, g), (g, f), (f, f)):
+        assert (a.sort_key() < b.sort_key()) == (_element_key(a) < _element_key(b))
+        assert (a.sort_key() == b.sort_key()) == (a == b)
 
 
 @given(fp_polynomials(count=2))
+@example((QQ, [Polynomial(QQ, [Fraction(3, 7), Fraction(-BIG, 11), 0, Fraction(1, BIG), 5]),
+               Polynomial(QQ, [Fraction(-2, 3), 1, Fraction(BIG + 7, 13)])]))
+@example((QQ, [Polynomial(QQ, [Fraction(k, k + 1) for k in range(7)]),
+               Polynomial(QQ, [Fraction(1, 3), -1, 0, Fraction(-(BIG + 1), 2)])]))
 def test_fp_divmod_reconstructs(drawn):
+    """Over F_p and over Q (pseudo-division on the numerators), including
+    non-monic divisors with a large leading numerator."""
     field, (f, g) = drawn
     if g.is_zero:
         with pytest.raises(DivisionByZeroPoly):

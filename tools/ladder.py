@@ -40,7 +40,9 @@ reads as if the job took ``REFERENCE_S`` (a shared host changes speed by a
 third within seconds).  A summary gives p50 and max over the ``SEEDS`` seeds,
 in ms, of both (``p50_ms``, ``max_ms`` and ``p50_ref_ms``, ``max_ref_ms``);
 each reads ``"timeout"`` when a timed-out call reaches it.  Each tree runs in
-a single process at a time.
+a single process at a time.  A ``summary`` block gives, for each field and
+layer, the median head/base ratio of ``p50_ref_ms`` over the points with
+n >= ``RATIO_MIN_N`` and the number of points with a timed-out call.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -62,6 +65,7 @@ FULL_SIZES = range(2, 25)
 MINPOLY_SIZES = (32, 40)
 SEEDS = 5
 TIMEOUT_S = 20.0
+RATIO_MIN_N = 8
 
 
 def build(field, kind: str, n: int, rng):
@@ -192,6 +196,30 @@ def summary(samples: list) -> dict:
     return out
 
 
+def ratios(rows: list) -> list:
+    """For each field and layer, the median over the points with n >=
+    ``RATIO_MIN_N`` of the head/base ``p50_ref_ms`` ratio, with the number
+    of points it is taken over and their range, and the number of points of
+    any n with a timed-out call, per tree.  A single point resolves only
+    differences of about a third; the median over many resolves finer ones."""
+    out = []
+    for tag in FIELDS:
+        for layer in LAYERS:
+            points = [r for r in rows if r["field"] == tag and r["layer"] == layer]
+            both = [r["head"]["p50_ref_ms"] / r["base"]["p50_ref_ms"] for r in points
+                    if r["n"] >= RATIO_MIN_N and all(isinstance(r[name].get("p50_ref_ms"), float)
+                                                    for name in ("base", "head"))]
+            out.append({
+                "field": tag, "layer": layer, "points": len(both),
+                "median_ratio": round(statistics.median(both), 3) if both else None,
+                "min_ratio": round(min(both), 3) if both else None,
+                "max_ratio": round(max(both), 3) if both else None,
+                "timed_out_points": {name: sum(r[name]["timeouts"] > 0 for r in points)
+                                     for name in ("base", "head")},
+            })
+    return out
+
+
 def export(rev: str, into: Path) -> Path:
     archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, capture_output=True,
                              check=True).stdout
@@ -234,6 +262,7 @@ def main(argv=None) -> int:
         "unit": "ms per call, p50 and max over the seeds; *_ref_ms at perfbench.run.REFERENCE_S",
         "machine": {"python": platform.python_version(), "nproc": os.cpu_count(),
                     "platform": platform.platform()},
+        "summary": ratios(rows),
         "rows": rows,
     }
     (ROOT / "BENCH_ladder.json").write_text(json.dumps(record, indent=1) + "\n")
