@@ -51,7 +51,6 @@ the same kernels.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -301,7 +300,7 @@ class Polynomial:
     def sort_key(self):
         """Orders by degree, then by the coefficients from the constant term
         as rationals (residues over F_p), as tuples of elements compare."""
-        return _ORDER(self)
+        return self.degree, (self._coeffs if self.field.characteristic else self.coeffs)
 
     def __repr__(self):
         if self.is_zero:
@@ -318,17 +317,6 @@ class Polynomial:
             else:
                 terms.append(f"{cs}*X^{i}" if cs != "1" else f"X^{i}")
         return "Poly(" + " + ".join(terms) + ")"
-
-
-def _compare(f: Polynomial, g: Polynomial) -> int:
-    """-1, 0 or 1 as f's sort key is below, equal to or above g's: a / d and
-    b / e compare as a e and b d, since d, e > 0."""
-    a = (f.degree, *(c * g._d for c in f._coeffs))
-    b = (g.degree, *(c * f._d for c in g._coeffs))
-    return (a > b) - (a < b)
-
-
-_ORDER = functools.cmp_to_key(_compare)
 
 
 def _state(value, p) -> tuple:

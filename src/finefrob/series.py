@@ -467,19 +467,22 @@ def series_even_odd(
         terms = _auto_terms_arch(spec, [_radius(alpha, n)], precision)
     even, odd = _even_odd_partial(spec, alpha, n, terms)
     tail, odd_tail = _even_odd_tails(spec, terms, alpha, n)
+    even_slack, odd_slack = (Fraction(*_round_slack(precision, *x.as_integer_ratio()))
+                             for x in (even, odd))
     with mpmath.workprec(precision):
         return EvenOdd(
             even=_to_mpf(even),
             odd=_to_mpf(odd),
-            even_error=_to_mpf(tail + _round_slack(precision, even)),
-            odd_error=_to_mpf(odd_tail + _round_slack(precision, odd)),
+            even_error=_to_mpf(tail + even_slack),
+            odd_error=_to_mpf(odd_tail + odd_slack),
             terms_used=terms,
         )
 
 
-def _round_slack(precision: int, value: Fraction) -> Fraction:
-    """Generous cover for the embedding roundoff of one exact value."""
-    return (1 + abs(value)) / Fraction(2 ** (precision - 4))
+def _round_slack(precision: int, x: int, d: int) -> tuple[int, int]:
+    """(numerator, denominator) of a generous cover for the embedding roundoff
+    of the exact value x / d, d > 0: (1 + |x / d|) / 2^(precision - 4)."""
+    return d + abs(x), d * 2 ** (precision - 4)
 
 
 def _to_mpf(x):
@@ -591,7 +594,6 @@ def _embed_with_bounds(
     states = [(tail, *_values(mat)[1]) for tail, mat in tail_items]
     den = math.lcm(*(tail.denominator * k for tail, _, k in states))
     tails = [(tail.numerator * (den // (tail.denominator * k)), rows) for tail, rows, k in states]
-    unit = d * 2 ** (precision - 4)  # slack (1 + |x / d|) / 2^(precision - 4) = (d + |x|) / unit
     with mpmath.workprec(precision):
         values = mpmath.matrix(dim, dim)
         bounds = mpmath.matrix(dim, dim)
@@ -599,8 +601,9 @@ def _embed_with_bounds(
             for j in range(dim):
                 x = a[i][j]
                 err = sum(t * abs(rows[i][j]) for t, rows in tails)
+                slack, unit = _round_slack(precision, x, d)
                 values[i, j] = _to_mpf(Fraction(x, d))
-                bounds[i, j] = _to_mpf(Fraction((d + abs(x)) * den + err * unit, unit * den))
+                bounds[i, j] = _to_mpf(Fraction(slack * den + err * unit, unit * den))
     return ArchSeriesMatrix(values, bounds, precision, terms)
 
 
