@@ -275,11 +275,14 @@ def reconstruct_normalized(dec: NormalizedFineFrobenius) -> Matrix:
     Every addend has ground-field entries (the radicals cancel), so the
     result is exactly comparable with the original matrix.
     """
-    field = dec.field
-    acc = Matrix.zeros(field, dec.dim)
+    return _normalized_sum(dec, [cov.vertical_unit ** 2 for cov in dec.quadratic])
+
+
+def _normalized_sum(dec: NormalizedFineFrobenius, squares) -> Matrix:
+    """``reconstruct_normalized`` from the squares Bn_j^2, given in order."""
+    acc = Matrix.zeros(dec.field, dec.dim)
     for cov in dec.linear:
         acc = acc + cov.matrix.scale(cov.eigenvalue)
-    for cov in dec.quadratic:
-        bn2 = cov.vertical_unit ** 2
+    for cov, bn2 in zip(dec.quadratic, squares):
         acc = acc - bn2.scale(cov.alpha) + cov.vertical_unit.scale(cov.imaginary)
     return acc

@@ -1,5 +1,9 @@
 """JSON schemas, canonical serialization, and input hashing.
 
+This is the only module that reads a document: a malformed one fails in its
+``*_from_json`` readers (``valid_precision``/``valid_terms`` for values) with
+SchemaMismatch, every literal read by the field's parser.
+
 Scalars serialize as strings ("n/d" or "n"; residues for prime fields);
 quadratic-extension elements as {"a": str, "b": str, "d": str}; field tags as
 "Q" or "Fp:<p>".  Matrices: {"field": tag, "n": int, "entries": [[scalar]]}.
@@ -14,27 +18,36 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from fractions import Fraction
 
 import mpmath
 
-from .errors import SchemaMismatch
+from .errors import CapExceeded, SchemaMismatch
 from .frobenius import (
     FineFrobenius,
     LinearCovariant,
     NormalizedFineFrobenius,
+    NormalizedQuadCovariant,
     QuadCovariant,
 )
 from .jordan_chevalley import AdditiveJC, CompleteJC
 from .matrix import Matrix
 from .poly import Factorization, Polynomial
-from .scalar import QuadElement, field_from_tag, quad_element
+from .scalar import QQ, QuadElement, field_from_tag, quad_element
 from .series import ArchSeriesMatrix, EigenAbs, PadicSeriesMatrix, SeriesSpec
+
+# caps on apply's overrides, and on the precision check reads from an apply
+# document: past them one request takes over half a minute; automatic cutoffs
+# stay below (exp of [[0,-1000],[1000,0]] takes 3389 terms)
+TERMS_CAP = 4096
+PRECISION_CAP = 16384
 
 __all__ = [
     "canonical_json",
     "input_hash",
     "load_document",
+    "envelope_from_json",
+    "valid_precision",
+    "valid_terms",
     "scalar_to_json",
     "scalar_from_json",
     "matrix_to_json",
@@ -45,14 +58,19 @@ __all__ = [
     "series_descriptor",
     "series_from_descriptor",
     "factorization_to_json",
+    "factorization_from_json",
+    "parts_from_json",
     "additive_jc_to_json",
     "complete_jc_to_json",
     "fine_to_json",
     "fine_from_json",
     "normalized_to_json",
+    "normalized_from_json",
     "arch_result_to_json",
     "padic_result_to_json",
+    "apply_result_from_json",
     "domain_to_json",
+    "domain_from_json",
 ]
 
 
@@ -82,6 +100,63 @@ def load_document(path: str):
         raise SchemaMismatch(f"{path} is not valid JSON: {exc}") from exc
 
 
+def envelope_from_json(obj) -> tuple[str, object]:
+    """(command, result) of a result document."""
+    _need(obj, "command", "result", what="result document")
+    return _expect_str(obj["command"], "command"), obj["result"]
+
+
+def valid_precision(value) -> int:
+    """A working precision: a positive integer, at most PRECISION_CAP."""
+    if type(value) is not int or value < 1:
+        raise SchemaMismatch(f"precision must be a positive integer, got {value!r}")
+    if value > PRECISION_CAP:
+        raise CapExceeded(f"precision {value} exceeds the cap {PRECISION_CAP}")
+    return value
+
+
+def valid_terms(value, cap: int | None = TERMS_CAP) -> int:
+    """A series cutoff: a nonnegative integer, at most ``cap`` unless it is None."""
+    if type(value) is not int or value < 0:
+        raise SchemaMismatch(f"terms must be a nonnegative integer, got {value!r}")
+    if cap is not None and value > cap:
+        raise CapExceeded(f"terms {value} exceed the cap {cap}")
+    return value
+
+
+def _need(obj, *keys, what: str) -> dict:
+    """Require a JSON object carrying the given keys."""
+    if not isinstance(obj, dict):
+        raise SchemaMismatch(f"{what} must be a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise SchemaMismatch(f"{what} lacks keys {missing}")
+    return obj
+
+
+def _expect_str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaMismatch(f"field {name!r} must be a string, got {value!r}")
+    return value
+
+
+def _expect_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaMismatch(f"field {name!r} must be an array")
+    return value
+
+
+def _square(entries, n: int) -> list:
+    """``entries``, which must be an n x n array."""
+    if (
+        not isinstance(entries, list)
+        or len(entries) != n
+        or any(not isinstance(row, list) or len(row) != n for row in entries)
+    ):
+        raise SchemaMismatch(f"entries must form an {n}x{n} array")
+    return entries
+
+
 # ---------------------------------------------------------------------------
 # scalars
 # ---------------------------------------------------------------------------
@@ -97,23 +172,13 @@ def scalar_to_json(field, x):
 
 
 def scalar_from_json(field, obj):
-    if isinstance(obj, str):
+    if not isinstance(obj, dict):
         return field.parse(obj)
-    if isinstance(obj, dict):
-        missing = {"a", "b", "d"} - set(obj)
-        if missing:
-            raise SchemaMismatch(f"quadratic scalar lacks keys {sorted(missing)}")
-        a = field.parse(_expect_str(obj["a"], "a"))
-        b = field.parse(_expect_str(obj["b"], "b"))
-        d = field.parse(_expect_str(obj["d"], "d"))
-        return quad_element(field, a, b, d)
-    raise SchemaMismatch(f"bad scalar value {obj!r}")
-
-
-def _expect_str(value, name: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaMismatch(f"field {name!r} must be a string, got {value!r}")
-    return value
+    _need(obj, "a", "b", "d", what="quadratic scalar")
+    a, b, d = (field.parse(obj[k]) for k in "abd")
+    if not d:
+        raise SchemaMismatch("quadratic scalar needs d != 0")
+    return quad_element(field, a, b, d)
 
 
 # ---------------------------------------------------------------------------
@@ -128,23 +193,16 @@ def matrix_to_json(m: Matrix) -> dict:
     return {"field": m.field.tag, "n": m.n, "entries": entries}
 
 
-def matrix_from_json(obj) -> Matrix:
-    if not isinstance(obj, dict):
-        raise SchemaMismatch("matrix document must be a JSON object")
-    for key in ("field", "n", "entries"):
-        if key not in obj:
-            raise SchemaMismatch(f"matrix document lacks key {key!r}")
+def matrix_from_json(obj, like: Matrix | None = None) -> Matrix:
+    """A matrix document; with ``like``, a matrix of like's size and field."""
+    _need(obj, "field", "n", "entries", what="matrix document")
     field = field_from_tag(obj["field"])
     n = obj["n"]
     if type(n) is not int or n < 1:
         raise SchemaMismatch(f"matrix size must be a positive integer, got {n!r}")
-    entries = obj["entries"]
-    if (
-        not isinstance(entries, list)
-        or len(entries) != n
-        or any(not isinstance(row, list) or len(row) != n for row in entries)
-    ):
-        raise SchemaMismatch(f"entries must form an {n}x{n} array")
+    if like is not None and (n, field) != (like.n, like.field):
+        raise SchemaMismatch("result document does not match the input dimension")
+    entries = _square(obj["entries"], n)
     if all(isinstance(e, str) for row in entries for e in row):
         return Matrix.parse(field, entries)
     return Matrix(
@@ -164,16 +222,8 @@ def poly_to_json(f: Polynomial) -> dict:
 
 
 def poly_from_json(obj) -> Polynomial:
-    if not isinstance(obj, dict):
-        raise SchemaMismatch("polynomial document must be a JSON object")
-    for key in ("field", "coeffs"):
-        if key not in obj:
-            raise SchemaMismatch(f"polynomial document lacks key {key!r}")
-    field = field_from_tag(obj["field"])
-    coeffs = obj["coeffs"]
-    if not isinstance(coeffs, list):
-        raise SchemaMismatch("coeffs must be an array of scalar strings")
-    return Polynomial.parse(field, [_expect_str(c, "coeffs") for c in coeffs])
+    _need(obj, "field", "coeffs", what="polynomial document")
+    return Polynomial.parse(field_from_tag(obj["field"]), _expect_list(obj["coeffs"], "coeffs"))
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +232,10 @@ def poly_from_json(obj) -> Polynomial:
 
 def series_spec_from_json(obj) -> SeriesSpec:
     """Custom series file: rational coefficient strings plus declared radius."""
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise SchemaMismatch("custom series document needs a coeffs array")
-    coeffs = obj["coeffs"]
-    if not isinstance(coeffs, list) or not coeffs:
-        raise SchemaMismatch("coeffs must be a nonempty array of rational strings")
-    parsed = [Fraction(_expect_str(c, "coeffs")) for c in coeffs]
-    if "radius" not in obj:
-        raise SchemaMismatch("custom series document needs a declared radius")
-    radius_raw = _expect_str(obj["radius"], "radius")
-    if radius_raw == "inf":
-        radius = math.inf
-    else:
-        try:
-            radius = Fraction(radius_raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaMismatch(f"bad radius {radius_raw!r}") from exc
-    return SeriesSpec.custom(parsed, radius)
+    _need(obj, "coeffs", "radius", what="custom series document")
+    radius = obj["radius"]
+    return SeriesSpec.custom([QQ.parse(c) for c in _expect_list(obj["coeffs"], "coeffs")],
+                             math.inf if radius == "inf" else QQ.parse(radius))
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +254,25 @@ def factorization_to_json(field, fact: Factorization) -> dict:
             for poly, mult in fact.factors
         ],
     }
+
+
+def factorization_from_json(field, obj) -> Factorization:
+    """A factorization document over ``field``, its factors read, not checked."""
+    _need(obj, "unit", "factors", what="factorization document")
+    factors = []
+    for item in _expect_list(obj["factors"], "factors"):
+        _need(item, "coeffs", "multiplicity", what="factor item")
+        mult = item["multiplicity"]
+        if type(mult) is not int or mult < 1:
+            raise SchemaMismatch(f"bad multiplicity {mult!r}")
+        factors.append((Polynomial.parse(field, _expect_list(item["coeffs"], "coeffs")), mult))
+    return Factorization(field.parse(obj["unit"]), tuple(factors))
+
+
+def parts_from_json(obj, keys, like: Matrix, what: str) -> list[Matrix]:
+    """The matrices under ``keys`` of a jc or cjc document, each of like's size and field."""
+    _need(obj, *keys, what=what)
+    return [matrix_from_json(obj[key], like) for key in keys]
 
 
 def additive_jc_to_json(dec: AdditiveJC) -> dict:
@@ -270,28 +326,30 @@ def fine_to_json(dec: FineFrobenius) -> dict:
     }
 
 
-def fine_from_json(obj) -> FineFrobenius:
-    if not isinstance(obj, dict):
-        raise SchemaMismatch("fine decomposition document must be a JSON object")
-    for key in ("A0", "linear", "quadratic"):
-        if key not in obj:
-            raise SchemaMismatch(f"fine decomposition lacks key {key!r}")
-    kernel = matrix_from_json(obj["A0"])
-    field = kernel.field
+def _ground_covariants_from_json(obj, like: Matrix | None, what: str) -> tuple:
+    """(A0, linear covariants, quadratic items) of a fine or a normalized
+    document; A0 of like's size and field, when given, and each A of A0's."""
+    _need(obj, "A0", "linear", "quadratic", what=what)
+    kernel = matrix_from_json(obj["A0"], like)
     linear = []
-    for item in obj["linear"]:
-        if not isinstance(item, dict) or "gamma" not in item or "A" not in item:
-            raise SchemaMismatch("linear covariant needs gamma and A")
-        linear.append(LinearCovariant(field.parse(_expect_str(item["gamma"], "gamma")),
-                                      matrix_from_json(item["A"])))
+    for item in _expect_list(obj["linear"], "linear"):
+        _need(item, "gamma", "A", what="linear covariant")
+        linear.append(LinearCovariant(kernel.field.parse(item["gamma"]),
+                                      matrix_from_json(item["A"], kernel)))
+    return kernel, tuple(linear), _expect_list(obj["quadratic"], "quadratic")
+
+
+def fine_from_json(obj, like: Matrix | None = None) -> FineFrobenius:
+    """A fine document, every covariant of like's size and field when given."""
+    kernel, linear, items = _ground_covariants_from_json(obj, like, "fine decomposition")
+    field = kernel.field
     quadratic = []
-    for item in obj["quadratic"]:
-        if not isinstance(item, dict) or any(k not in item for k in ("alpha", "n", "B", "P")):
-            raise SchemaMismatch("quadratic covariant needs alpha, n, B, P")
-        quadratic.append(QuadCovariant(field.parse(_expect_str(item["alpha"], "alpha")),
-                                       field.parse(_expect_str(item["n"], "n")),
-                                       matrix_from_json(item["B"]), matrix_from_json(item["P"])))
-    return FineFrobenius(kernel.n, field, kernel, tuple(linear), tuple(quadratic))
+    for item in items:
+        _need(item, "alpha", "n", "B", "P", what="quadratic covariant")
+        quadratic.append(QuadCovariant(field.parse(item["alpha"]), field.parse(item["n"]),
+                                       matrix_from_json(item["B"], kernel),
+                                       matrix_from_json(item["P"], kernel)))
+    return FineFrobenius(kernel.n, field, kernel, linear, tuple(quadratic))
 
 
 def normalized_to_json(dec: NormalizedFineFrobenius) -> dict:
@@ -311,6 +369,20 @@ def normalized_to_json(dec: NormalizedFineFrobenius) -> dict:
     }
 
 
+def normalized_from_json(obj, like: Matrix | None = None) -> NormalizedFineFrobenius:
+    """A normalized document, every covariant of like's size and field when given."""
+    kernel, linear, items = _ground_covariants_from_json(obj, like, "normalized decomposition")
+    field = kernel.field
+    quadratic = []
+    for item in items:
+        _need(item, "alpha", "n", "imaginary", "B_unit", "P", what="quadratic covariant")
+        quadratic.append(NormalizedQuadCovariant(
+            field.parse(item["alpha"]), field.parse(item["n"]),
+            scalar_from_json(field, item["imaginary"]),
+            matrix_from_json(item["B_unit"], kernel), matrix_from_json(item["P"], kernel)))
+    return NormalizedFineFrobenius(kernel.n, field, kernel, linear, tuple(quadratic))
+
+
 def _decimal(x, precision: int) -> str:
     return mpmath.nstr(x, mpmath.libmp.prec_to_dps(precision), strip_zeros=False)
 
@@ -328,11 +400,9 @@ def series_descriptor(spec: SeriesSpec) -> dict:
 
 
 def series_from_descriptor(obj) -> SeriesSpec:
-    if not isinstance(obj, dict) or "name" not in obj:
-        raise SchemaMismatch("series descriptor needs a name")
-    if obj["name"] != "CUSTOM":
-        return SeriesSpec.named(_expect_str(obj["name"], "name"))
-    return series_spec_from_json(obj)
+    _need(obj, "name", what="series descriptor")
+    name = _expect_str(obj["name"], "name")
+    return series_spec_from_json(obj) if name == "CUSTOM" else SeriesSpec.named(name)
 
 
 def arch_result_to_json(res: ArchSeriesMatrix, spec: SeriesSpec) -> dict:
@@ -365,6 +435,38 @@ def padic_result_to_json(res: PadicSeriesMatrix, spec: SeriesSpec) -> dict:
     }
 
 
+def apply_result_from_json(obj, n: int) -> dict:
+    """The keys check reads of an apply document for an n x n input, parsed:
+    kind; series, a SeriesSpec; for "arch", precision and the entries as mpf
+    rows at that precision, each entry read as a literal first; for "padic",
+    p, terms, valuation_bound (an int or math.inf) and the entries, a Q matrix."""
+    _need(obj, "kind", "series", "entries", what="apply document")
+    kind = obj["kind"]
+    parsed = {"kind": kind, "series": series_from_descriptor(obj["series"])}
+    entries = _square(obj["entries"], n)
+    if kind == "arch":
+        _need(obj, "precision", what="archimedean apply document")
+        precision = parsed["precision"] = valid_precision(obj["precision"])
+        for row in entries:
+            for e in row:
+                QQ.parse_value(e)
+        with mpmath.workprec(precision):
+            parsed["entries"] = [[mpmath.mpf(e) for e in row] for row in entries]
+    elif kind == "padic":
+        _need(obj, "p", "terms", "valuation_bound", what="p-adic apply document")
+        p, bound = obj["p"], obj["valuation_bound"]
+        if type(p) is not int:
+            raise SchemaMismatch(f"p must be an integer, got {p!r}")
+        if bound != "inf" and type(bound) is not int:
+            raise SchemaMismatch(f"bad valuation bound {bound!r}")
+        parsed.update(p=p, terms=valid_terms(obj["terms"], cap=None),
+                      valuation_bound=math.inf if bound == "inf" else bound,
+                      entries=Matrix.parse(QQ, entries))
+    else:
+        raise SchemaMismatch(f"unknown apply kind {kind!r}")
+    return parsed
+
+
 def domain_to_json(member: bool, radius: float, data: list[EigenAbs]) -> dict:
     return {
         "in_omega_hat": member,
@@ -379,3 +481,8 @@ def domain_to_json(member: bool, radius: float, data: list[EigenAbs]) -> dict:
             for item in data
         ],
     }
+
+
+def domain_from_json(obj):
+    """The in_omega_hat value a domain document states, unchecked."""
+    return _need(obj, "in_omega_hat", what="domain document")["in_omega_hat"]

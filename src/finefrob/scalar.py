@@ -160,8 +160,6 @@ def tonelli_shanks(a: int, p: int) -> int:
 
 def padic_valuation(x, p: int):
     """v_p(x) for a Fraction or int; math.inf for zero."""
-    if isinstance(x, int):
-        x = Fraction(x)
     if x == 0:
         return math.inf
 
@@ -180,20 +178,21 @@ def padic_valuation(x, p: int):
 # ---------------------------------------------------------------------------
 
 def _literal_value(s) -> tuple[int, int]:
-    """(n, d), d > 0, with n / d the value Fraction reads in the literal s,
-    or Fraction's ValueError or ZeroDivisionError.  A string n or n/d whose
-    parts int reads, n ending and d made of digits, skips Fraction, which
-    reads it as n / d about twenty times slower; every literal finefrob
-    prints is one."""
-    if isinstance(s, str):
-        num, slash, den = s.partition("/")
-        if not slash or num[-1:].isdigit() and den.isdigit():
-            try:
-                n, d = int(num), int(den) if slash else 1
-                if d:
-                    return n, d
-            except ValueError:
-                pass
+    """(n, d), d > 0, with n / d the value Fraction reads in the string s,
+    or Fraction's ValueError or ZeroDivisionError; a ValueError when s is
+    not a string.  A string n or n/d whose parts int reads, n ending and d
+    made of digits, skips Fraction, which reads it as n / d about twenty
+    times slower; every literal finefrob prints is one."""
+    if not isinstance(s, str):
+        raise ValueError("a literal must be a string")
+    num, slash, den = s.partition("/")
+    if not slash or num[-1:].isdigit() and den.isdigit():
+        try:
+            n, d = int(num), int(den) if slash else 1
+            if d:
+                return n, d
+        except ValueError:
+            pass
     x = Fraction(s)
     return x.numerator, x.denominator
 
@@ -229,7 +228,8 @@ class RationalField:
         return Fraction(*self.parse_value(s))
 
     def parse_value(self, s: str) -> tuple[int, int]:
-        """(n, d), d > 0, with n / d the value of the literal s."""
+        """(n, d), d > 0, with n / d the value of the literal s; SchemaMismatch
+        unless s is a string that reads as a rational."""
         try:
             return _literal_value(s)
         except (ValueError, ZeroDivisionError) as exc:

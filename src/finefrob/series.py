@@ -109,7 +109,7 @@ class SeriesSpec:
     def __post_init__(self):
         if self.name not in NAMED_SERIES + ("CUSTOM",):
             raise SchemaMismatch(f"unknown series name {self.name!r}")
-        if self.name == "CUSTOM" and self.custom_coeffs is None:
+        if self.name == "CUSTOM" and not self.custom_coeffs:
             raise SchemaMismatch("CUSTOM series needs coefficients")
 
     # named constructors ----------------------------------------------------
@@ -145,10 +145,7 @@ class SeriesSpec:
 
     @classmethod
     def named(cls, name: str) -> "SeriesSpec":
-        name = name.upper()
-        if name not in NAMED_SERIES:
-            raise SchemaMismatch(f"unknown named series {name!r}")
-        return cls(name)
+        return cls(name.upper())
 
     # coefficients ----------------------------------------------------------
 
@@ -667,12 +664,16 @@ def apply_series(
 # -- p-adic backend ----------------------------------------------------------
 
 def _padic_eigen_valuation(alpha: Fraction, n: Fraction, p: int):
-    """min(v(alpha), v(beta)) for beta^2 = -n (inf for alpha = n = 0)."""
-    return min(padic_valuation(alpha, p), padic_valuation(n, p) / 2)
+    """min(v(alpha), v(beta)) for beta^2 = -n, exact (inf for alpha = n = 0)."""
+    vn = padic_valuation(n, p)
+    return min(padic_valuation(alpha, p), vn if vn == math.inf else Fraction(vn, 2))
 
 
 def _matrix_min_valuation(mat: Matrix, p: int):
-    return min((padic_valuation(Fraction(e), p) for row in mat.rows for e in row), default=math.inf)
+    """min v_p(a_ij) - v_p(d) off the state (a, d) of a Q matrix; inf for 0."""
+    _, (a, d) = _values(mat)
+    least = min((padic_valuation(x, p) for row in a for x in row if x), default=math.inf)
+    return least - padic_valuation(d, p)
 
 
 def _padic_scalar_tail_valuation(
@@ -699,6 +700,27 @@ def _padic_scalar_tail_valuation(
     )
 
 
+def _least_padic_cutoff(spec: SeriesSpec, sources, p: int, target) -> int:
+    """The least t whose bound, min over the sources (v, shift, shifted) of
+    the scalar tail valuation past t plus shift, reaches ``target``.
+
+    Named series: a source's bound t (v - s) + (v unless shifted) + shift,
+    s = 1/(p - 1), grows with t, as membership gives v > s.  CUSTOM: the tail
+    past t is a minimum over the coefficients m > t, so t is the last m whose
+    term at some source is below ``target`` (0 if none), at most ``max_index``.
+    """
+    finite = [(v, shift, shifted) for v, shift, shifted in sources
+              if v != math.inf and shift != math.inf]
+    if spec.name != "CUSTOM":
+        s = Fraction(1, p - 1)
+        return max((max(0, math.ceil((target - shift - (0 if shifted else v)) / (v - s)))
+                    for v, shift, shifted in finite), default=0)
+    coeffs = spec.custom_coeffs
+    return max((m for m in range(1, len(coeffs)) if coeffs[m] and any(
+        padic_valuation(coeffs[m], p) + (m - 1 if shifted else m) * v + shift < target
+        for v, shift, shifted in finite)), default=0)
+
+
 def _padic_cutoff(dec: FineFrobenius, spec: SeriesSpec, p: int, target, terms):
     """(terms, certified valuation bound of the truncation at terms).
 
@@ -712,28 +734,13 @@ def _padic_cutoff(dec: FineFrobenius, spec: SeriesSpec, p: int, target, terms):
         sources.append((v, _matrix_min_valuation(projector, p), False))
         if vertical is not None:
             sources.append((v, _matrix_min_valuation(vertical, p), True))
-
-    def certified(t: int):
-        best = math.inf
-        for v, shift, shifted in sources:
-            scalar = _padic_scalar_tail_valuation(spec, t, v, p, shifted)
-            if scalar == math.inf or shift == math.inf:
-                continue
-            best = min(best, scalar + shift)
-        return best
-
     if terms is None:
-        terms = 0
-        while terms <= _TERMS_CAP:
-            if certified(terms) >= target:
-                break
-            terms += 1
-        else:
+        terms = _least_padic_cutoff(spec, sources, p, target)
+        if terms > _TERMS_CAP:
             raise NotConvergent("no cutoff certified the requested valuation")
-    bound = certified(terms)
-    if bound != math.inf:
-        bound = math.floor(bound)
-    return terms, bound
+    bound = min((_padic_scalar_tail_valuation(spec, terms, v, p, shifted) + shift
+                 for v, shift, shifted in sources), default=math.inf)
+    return terms, bound if bound == math.inf else math.floor(bound)
 
 
 def padic_truncation_bound(m: Matrix, spec: SeriesSpec, p: int, terms: int):

@@ -311,6 +311,44 @@ def named_tail_bound(terms, r):
     return exact + r ** (s + 1) / math.factorial(s + 1) * (s + 2) / (s + 2 - r)
 
 
+def _vp(x, p):
+    """v_p of a nonzero Fraction, by repeated division."""
+    x, v = Fraction(x), 0
+    while x.numerator % p == 0:
+        x, v = x / p, v + 1
+    while x.denominator % p == 0:
+        x, v = x * p, v - 1
+    return v
+
+
+def padic_cutoff_scan(coeffs, sources, p, target, cap):
+    """The least t = 0, 1, 2, ... up to cap (else None) whose certified
+    p-adic bound reaches target, by trying each t in turn.
+
+    The bound at t is the least, over the sources (v, shift, shifted) with v
+    and shift finite, of shift plus the valuation of the tail past t: a tail
+    monomial a_m lam^m (lam^(m-1) for a shifted source) has valuation at least
+    v_p(a_m) + m v (or (m - 1) v).  ``coeffs`` None is a named series, with
+    v_p(a_m) >= -(m - 1)/(p - 1), whose tail is least at m = t + 1; else the
+    finite coefficient list of a CUSTOM series.
+    """
+    def bound(t):
+        best = math.inf
+        for v, shift, shifted in sources:
+            if v == math.inf or shift == math.inf:
+                continue
+            if coeffs is None:
+                m = t + 1
+                tail = (m - 1 if shifted else m) * v - Fraction(m - 1, p - 1)
+            else:
+                tail = min((_vp(coeffs[m], p) + (m - 1 if shifted else m) * v
+                            for m in range(t + 1, len(coeffs)) if coeffs[m]), default=math.inf)
+            best = min(best, tail + shift)
+        return best
+
+    return next((t for t in range(cap + 1) if bound(t) >= target), None)
+
+
 # ---------------------------------------------------------------------------
 # fine decomposition clauses, pair by pair
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import inspect
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -538,6 +539,61 @@ def test_check_fine_with_covariant_of_other_size_exits_1(tmp_path, capsys):
     assert verdict["error"]["code"] == "SchemaMismatch"
 
 
+def test_check_factor_past_the_degree_answers_without_expanding(tmp_path, capsys):
+    """X + 1 claimed as (X + 1)^(10^6): the product's degree is read off the
+    multiplicities, so no power is taken; a factor 1 of multiplicity 2 > deg f
+    is refused the same way."""
+    fpath = write_doc(tmp_path, "f.json", {"field": "Q", "coeffs": ["1", "1"]})
+    for factors in ([{"coeffs": ["1", "1"], "multiplicity": 10**6}],
+                    [{"coeffs": ["1", "1"], "multiplicity": 1},
+                     {"coeffs": ["1"], "multiplicity": 2}]):
+        forged = {"command": "factor", "result": {"field": "Q", "unit": "1", "factors": factors}}
+        start = time.perf_counter()
+        code, verdict = run_json(capsys, ["check", fpath, write_doc(tmp_path, "r.json", forged)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and verdict["result"]["passed"] is False
+        assert verdict["report"]["product_reconstructs"] is False
+
+
+def test_malformed_command_input_exits_1(tmp_path, capsys):
+    """A quadratic entry with d = 0 is no element of an extension, and "abc"
+    is no coefficient of a custom series."""
+    quadratic = write_doc(tmp_path, "q.json", mat_doc([[{"a": "1", "b": "1", "d": "0"}]]))
+    series = write_doc(tmp_path, "s.json", {"coeffs": ["1", "abc"], "radius": "inf"})
+    matrix = write_doc(tmp_path, "m.json", mat_doc(WORKED))
+    for argv in (["minpoly", quadratic],
+                 ["apply", matrix, "--fn", f"custom:{series}", "--abs", "arch"]):
+        code, doc = run_json(capsys, argv)
+        assert (code, doc["error"]["code"]) == (1, "SchemaMismatch")
+
+
+@pytest.mark.parametrize(
+    "result, path, value",
+    [
+        ("apply-exp-arch-q_semisimple", ("entries", 0, 0), "1/0"),
+        ("apply-sin-padic3-q_semisimple", ("terms",), -3),
+        ("factor-q", ("factors", 0, "coeffs", 0), 1),
+        ("fine-q_semisimple", ("linear",), -1),
+        ("normalize-q_semisimple", ("quadratic", 0, "B_unit", "entries", 1, 0, "d"), "0"),
+        ("minpoly-q_semisimple", ("command",), []),
+    ],
+    ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else None,
+)
+def test_check_of_a_malformed_document_exits_1(tmp_path, capsys, result, path, value):
+    """A literal that is no rational, terms -3 (as apply refuses --terms -3),
+    a coefficient that is no string, a linear part that is no array, a
+    quadratic entry with d = 0 and a command that is no string."""
+    source = "q_poly" if result == "factor-q" else "q_semisimple"
+    doc = _golden_result(result)
+    target = doc if path == ("command",) else doc["result"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    rpath = write_doc(tmp_path, "r.json", doc)
+    code, verdict = run_json(capsys, ["check", str(GOLDEN / "inputs" / f"{source}.json"), rpath])
+    assert (code, verdict["error"]["code"]) == (1, "SchemaMismatch")
+
+
 def test_check_rejects_result_without_command(tmp_path, capsys):
     path = write_doc(tmp_path, "m.json", mat_doc(WORKED))
     rpath = write_doc(tmp_path, "r.json", {"result": {}})
@@ -702,3 +758,81 @@ def test_cjc_prime_field(tmp_path, capsys):
     res = out["result"]
     assert res["H"]["field"] == "Fp:7"
     assert res["V"]["entries"] == [["0", "3"], ["1", "0"]]
+
+
+# ---------------------------------------------------------------------------
+# hostile documents: one value changed at a time
+# ---------------------------------------------------------------------------
+
+HOSTILE = ([], -1, "0", "abc", "1/0")
+_DELETED = object()
+
+# one golden check case per document kind: (checked run, its input document)
+LEAF_CHECKS = (
+    ("minpoly-q_semisimple", "q_semisimple"),
+    ("factor-q", "q_poly"),
+    ("jc-q_semisimple", "q_semisimple"),
+    ("cjc-q_semisimple", "q_semisimple"),
+    ("fine-q_semisimple", "q_semisimple"),
+    ("normalize-q_semisimple", "q_semisimple"),
+    ("apply-exp-arch-q_semisimple", "q_semisimple"),
+    ("apply-sin-padic3-q_semisimple", "q_semisimple"),
+    ("domain-exp-arch-q_semisimple", "q_semisimple"),
+)
+
+
+def _mutants(doc, path=()):
+    """(path, value) of every one-place change of doc: each value, a leaf or
+    an array or object, set to each HOSTILE value, and each key deleted
+    (value ``_DELETED``)."""
+    for value in HOSTILE:
+        yield path, value
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            if isinstance(doc, dict):
+                yield path + (key,), _DELETED
+            yield from _mutants(value, path + (key,))
+
+
+def _mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is _DELETED:
+        del target[path[-1]]
+    elif path:
+        target[path[-1]] = value
+    else:
+        doc = value
+    return doc
+
+
+def _answers_with_a_document(capsys, argv):
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code in (0, 1, 2) and len(lines) == 1, argv
+    json.loads(lines[0])
+
+
+def test_one_changed_value_never_escapes_main(tmp_path, capsys):
+    """Every malformed document ends in a verdict or an error document, in
+    check of each kind of result, in apply of a custom series, and in a
+    command on a matrix with a quadratic entry."""
+    for checked, source in LEAF_CHECKS:
+        ipath = str(GOLDEN / "inputs" / f"{source}.json")
+        for path, value in _mutants(_golden_result(checked)):
+            rpath = write_doc(tmp_path, "r.json", _mutated(_golden_result(checked), path, value))
+            _answers_with_a_document(capsys, ["check", ipath, rpath])
+    matrix = str(GOLDEN / "inputs" / "q_worked.json")
+    for name in ("custom_entire", "custom_radius2"):
+        series = json.loads((GOLDEN / "inputs" / f"{name}.json").read_text())
+        for path, value in _mutants(series):
+            spath = write_doc(tmp_path, "s.json", _mutated(series, path, value))
+            _answers_with_a_document(
+                capsys, ["apply", matrix, "--fn", f"custom:{spath}", "--abs", "arch"])
+    quadratic = mat_doc([["1", {"a": "1", "b": "1", "d": "2"}], ["0", "1/2"]])
+    for path, value in _mutants(quadratic):
+        mpath = write_doc(tmp_path, "m.json", _mutated(quadratic, path, value))
+        _answers_with_a_document(capsys, ["minpoly", mpath])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import corpus
 import oracles
@@ -526,6 +526,43 @@ def reference_cutoff(radii, precision):
 def test_auto_cutoff_matches_reference_scan(name, radii, precision):
     found = series._auto_terms_arch(SeriesSpec.named(name), radii, precision)
     assert found == reference_cutoff(radii, precision)
+
+
+@st.composite
+def padic_cutoff_cases(draw):
+    """(spec, sources, p, target) as the p-adic cutoff search sees them: a
+    named series has every eigenvalue valuation v > 1/(p - 1), as membership
+    asks; a CUSTOM one any v."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 1009)))
+    custom = draw(st.booleans())
+    halves = st.integers(-6, 12) if custom else st.integers(1, 12)
+    v = halves.map(lambda k: Fraction(k, 2)).filter(lambda v: custom or v > Fraction(1, p - 1))
+    shift = st.integers(-6, 6)
+    sources = draw(st.lists(st.tuples(v | st.just(math.inf), shift | st.just(math.inf),
+                                      st.booleans()), max_size=6))
+    if custom:
+        coeffs = draw(st.lists(st.fractions(-30, 30, max_denominator=90), min_size=1, max_size=12))
+        spec = SeriesSpec.custom(coeffs, math.inf)
+    else:
+        spec = SeriesSpec.named(draw(st.sampled_from(sorted(ORACLE_COEFFS))))
+    return spec, sources, p, draw(st.integers(-10, 60))
+
+
+@settings(max_examples=150)
+@given(padic_cutoff_cases())
+# every source already reaches a target at or below its bound at t = 0
+@example((SeriesSpec.named("EXP"), [(Fraction(1), 0, False), (Fraction(3, 2), 2, True)], 3, -4))
+# (target - c) / (v - s) = (9 - 1) / (1 - 1/2) is an integer: t = 16 exactly
+@example((SeriesSpec.named("SIN"), [(Fraction(1), 0, False)], 3, 9))
+# the terms at m = 1 and m = 2 equal the target, so none is below it: t = 0
+@example((SeriesSpec.custom([1, 3, 1, 0], math.inf), [(Fraction(1), 0, False)], 3, 2))
+# only the term at m = 1 is below the target: t = 1
+@example((SeriesSpec.custom([1, 1, 9, 0], math.inf), [(Fraction(1), 0, False)], 3, 2))
+def test_padic_cutoff_matches_reference_scan(case):
+    spec, sources, p, target = case
+    coeffs = spec.custom_coeffs if spec.name == "CUSTOM" else None
+    expected = oracles.padic_cutoff_scan(coeffs, sources, p, target, 2000)
+    assert series._least_padic_cutoff(spec, sources, p, target) == expected
 
 
 # ---------------------------------------------------------------------------
