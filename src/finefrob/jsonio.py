@@ -437,19 +437,25 @@ def padic_result_to_json(res: PadicSeriesMatrix, spec: SeriesSpec) -> dict:
 
 def apply_result_from_json(obj, n: int) -> dict:
     """The keys check reads of an apply document for an n x n input, parsed:
-    kind; series, a SeriesSpec; for "arch", precision and the entries as mpf
-    rows at that precision, each entry read as a literal first; for "padic",
-    p, terms, valuation_bound (an int or math.inf) and the entries, a Q matrix."""
+    kind; series, a SeriesSpec; for "arch", precision, terms and the entries
+    as mpf rows at that precision, each entry read as a literal first, and
+    the error bounds read as n x n nonnegative literals; for "padic", p,
+    terms, valuation_bound (an int or math.inf) and the entries, a Q matrix."""
     _need(obj, "kind", "series", "entries", what="apply document")
     kind = obj["kind"]
     parsed = {"kind": kind, "series": series_from_descriptor(obj["series"])}
     entries = _square(obj["entries"], n)
     if kind == "arch":
-        _need(obj, "precision", what="archimedean apply document")
+        _need(obj, "precision", "terms", "error_bounds", what="archimedean apply document")
         precision = parsed["precision"] = valid_precision(obj["precision"])
+        parsed["terms"] = valid_terms(obj["terms"], cap=None)
         for row in entries:
             for e in row:
                 QQ.parse_value(e)
+        for row in _square(obj["error_bounds"], n):
+            for e in row:
+                if QQ.parse_value(e)[0] < 0:
+                    raise SchemaMismatch(f"negative error bound {e!r}")
         with mpmath.workprec(precision):
             parsed["entries"] = [[mpmath.mpf(e) for e in row] for row in entries]
     elif kind == "padic":

@@ -16,7 +16,13 @@ a = d M, d > 0 prime to every numerator.  Sums, scalings, products, equality,
 hashing, parsing and printing run on that state with plain ints, one loop for
 both fields (a product is (a b, da db)); ``Matrix._of`` makes each result
 canonical, so equal matrices have equal states, and ``rows`` and ``entry``
-build elements only when asked.  Polynomials are evaluated at a matrix on
+build elements only when asked.  Over F_p products and matrix-vector steps
+run on packed ints (``poly._pack``): ``_matvec`` packs the columns of A once,
+in slots of ``poly._slot(p, n)`` bits, wide enough for a sum of n products
+of residues in [0, p), and A v is one sum of the products of those ints with
+the residues of v, unpacked to reduced residues; a product a b applies b's
+``_matvec`` to each row of a.  Over Q and with quadratic entries they are
+dot products of lists.  Polynomials are evaluated at a matrix on
 one path, ``eval_polys_at_matrix``: the powers I, M, ..., M^e are computed
 once, reduced mod p over F_p, and every polynomial is a linear combination
 of them, with the integer numerators of its state (coeffs, d) as
@@ -48,7 +54,7 @@ from .errors import (
     NotInvertible,
     NotKRegular,
 )
-from .poly import Factorization, Polynomial, _mul, factor, squarefree_part
+from .poly import Factorization, Polynomial, _mul, _pack, _slot, _unpack, factor, squarefree_part
 from .scalar import FpElement, QuadElement, _scalar_value, is_k_regular_degree, parse_values
 
 __all__ = [
@@ -216,7 +222,7 @@ class Matrix:
         if isinstance(other, Matrix):
             self._check(other)
             p, (a, da), (b, db) = _values(self, other)
-            return Matrix._of(self.field, p, _product(a, b), da * db)
+            return Matrix._of(self.field, p, _product(a, b, p), da * db)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -338,10 +344,22 @@ def _identity(n: int) -> list:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _product(a, b) -> list:
-    """The rows of a b, unreduced."""
-    cols = list(zip(*b))
-    return [[_dot(row, col) for col in cols] for row in a]
+def _product(a, b, p) -> list:
+    """The rows of a b, p as ``_values`` gave it: reduced residues over F_p,
+    each row one sum of products with the packed rows of b (``_matvec``)."""
+    times = _matvec(list(zip(*b)), p)
+    return [times(row) for row in a]
+
+
+def _matvec(a, p):
+    """v -> A v for the rows a of A, p as ``_values`` gave it: over F_p the
+    reduced residues, from the columns of A packed once; else the unreduced
+    dot products of the rows with v."""
+    if not p:
+        return lambda v: [_dot(row, v) for row in a]
+    n, bits = len(a), _slot(p, len(a[0]))
+    cols = [_pack(col, bits) for col in zip(*a)]
+    return lambda v: _unpack(sum(map(operator.mul, v, cols)), n, bits, p)
 
 
 def _dot(u, v):
@@ -362,7 +380,7 @@ def eval_polys_at_matrix(polys, m: Matrix) -> list[Matrix]:
 
     The table I, a, ..., a^e (e the largest degree, m = a / d) takes e - 1
     products on ``_values``, however many polynomials share it, and over F_p
-    each power is reduced mod p before the next product; over Q,
+    each power is reduced mod p by ``_product`` itself; over Q,
     f(m) = sum c_k d^(e-k) a^k / (L d^e) for f = (c_0, ..., c_e) / L of
     degree e, its state.
     """
@@ -372,8 +390,7 @@ def eval_polys_at_matrix(polys, m: Matrix) -> list[Matrix]:
     p, (a, d) = _values(m)
     powers = [_identity(n), a]
     while len(powers) <= max((f.degree for f in polys), default=0):
-        power = _product(powers[-1], a)
-        powers.append([[x % p for x in row] for row in power] if p else power)
+        powers.append(_product(powers[-1], a, p))
     flat = [[e for row in power for e in row] for power in powers]
     out = []
     for f in polys:
@@ -416,16 +433,16 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
     field, n = m.field, m.n
     p, (a, d) = _values(m)
     one = field.one if p is None else 1
+    times = _matvec(a, p)
     mu = [one]
     for j in range(n):
         if len(mu) > n:
             break
         w = [0] * n
-        for c in reversed(mu):
-            w = [_dot(row, w) for row in a]
-            w[j] += c
-            if p:
-                w = [x % p for x in w]
+        w[j] = mu[-1]
+        for c in reversed(mu[:-1]):
+            w = times(w)
+            w[j] = (w[j] + c) % p if p else w[j] + c
         if not any(w):
             continue
         mu = _mul(mu, _local_annihilator(a, w, p, one))
@@ -450,6 +467,7 @@ def _local_annihilator(a, start: list, p, one=1) -> list:
     every value is a minor of rows (A^t start, e_t)."""
     # each stored row: (pivot index, pivot value, reduced vector, combination over Krylov powers)
     basis: list[tuple[int, int, list, list]] = []
+    times = _matvec(a, p)
     current = start
     while True:
         red, red_combo, prev = current, [0] * len(basis) + [1], 1
@@ -471,9 +489,7 @@ def _local_annihilator(a, start: list, p, one=1) -> list:
             inv = one / red[pivot]
             red, red_combo = [inv * x for x in red], [inv * x for x in red_combo]
         basis.append((pivot, red[pivot] if p == 0 else 1, red, red_combo))
-        current = [_dot(row, current) for row in a]
-        if p:
-            current = [x % p for x in current]
+        current = times(current)
 
 
 # ---------------------------------------------------------------------------

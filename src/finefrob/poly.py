@@ -47,12 +47,26 @@ modular factors and Hensel lifts of Zassenhaus' algorithm stay on residue
 lists from start to end: ``factor`` builds a ``Polynomial`` only for each
 factor it returns.  The Newton and CRT routines of ``jordan_chevalley`` use
 the same kernels.
+
+Over F_p a residue vector a is also packed into one int, the sum of
+a_i 2^(b i) (Kronecker substitution; von zur Gathen & Gerhard, section 8.4),
+so one big-int product computes a whole convolution or a whole row of dot
+products, as FLINT's nmod_poly and nmod_mat do.  The slot width
+b = ``_slot(p, t)`` is the bit length of t (p - 1)^2: a slot holding a sum of
+at most t products of residues in [0, p) never carries into the next.
+``_pack`` and ``_unpack`` (which reduces each slot mod p) are the one pair
+that converts; ``matrix`` packs its rows and columns with them.  ``_powmod``
+over F_p squares and multiplies packed ints and reduces each product by
+``_Modulus``, a packed table of X^(n+k) mod m built once per modulus (slots
+for t = 2n), which distinct-degree factoring keeps across degrees until a
+split.  Over Q the values are signed and unbounded, and stay on lists.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -484,8 +498,76 @@ def _xgcd(a, b, p) -> tuple:
     return _scale(a, k, p, den), _scale(u0, k, p, den)
 
 
+def _slot(p: int, terms: int) -> int:
+    """The bits of one slot of a packed residue vector: enough for a sum of
+    ``terms`` products of residues in [0, p), so no slot overflows into the
+    next."""
+    return max(terms * (p - 1) ** 2, 1).bit_length()
+
+
+def _pack(a, bits: int) -> int:
+    """The int sum of a_i 2^(bits i) for residues a, constant first
+    (Kronecker substitution X = 2^bits)."""
+    x = 0
+    for c in reversed(a):
+        x = x << bits | c
+    return x
+
+
+def _unpack(x: int, length: int, bits: int, p: int) -> list:
+    """The first ``length`` slots of a packed x, each reduced mod p."""
+    mask = (1 << bits) - 1
+    return [(x >> s & mask) % p for s in range(0, length * bits, bits)]
+
+
+class _Modulus:
+    """Residues m != 0 of degree n over F_p and the packed table of
+    X^(n+k) mod m, k < n - 1, built once per modulus.
+
+    A product of two packed residue vectors of length n is one int product
+    with 2n - 1 slots; its low n slots plus the table rows times the high
+    slots, each reduced mod p, is the product modulo m, a sum of at most
+    2n - 1 products of residues per slot: slots of ``_slot(p, 2n)`` bits.
+    """
+
+    __slots__ = ("m", "p", "n", "bits", "low", "table")
+
+    def __init__(self, m, p: int):
+        self.m, self.p, self.n = m, p, len(m) - 1
+        self.bits = _slot(p, 2 * self.n)
+        self.low = (1 << self.n * self.bits) - 1  # the mask of the low n slots
+        inv = pow(m[-1], -1, p)
+        row = [-c * inv % p for c in m[:-1]]  # X^n mod m
+        low, self.table = row, []
+        for _ in range(self.n - 1):
+            self.table.append(_pack(row, self.bits))
+            top = row[-1]
+            row = [(prev + top * c) % p for prev, c in zip([0, *row[:-1]], low)]
+
+    def _reduce(self, x: int) -> list:
+        """The residues of a packed product of two reduced packed vectors, modulo m."""
+        n, bits, p = self.n, self.bits, self.p
+        high = _unpack(x >> n * bits, n - 1, bits, p)
+        return _unpack((x & self.low) + sum(map(operator.mul, high, self.table)), n, bits, p)
+
+    def power(self, a, e: int) -> list:
+        """a^e modulo m, trimmed, by left-to-right square and multiply; 1 when e = 0."""
+        if not e:
+            return [1]
+        bits = self.bits
+        base = acc = _pack(_divmod(a, self.m, self.p)[1], bits)
+        for bit in bin(e)[3:]:  # after the leading 1
+            acc = _pack(self._reduce(acc * acc), bits)
+            if bit == "1":
+                acc = _pack(self._reduce(acc * base), bits)
+        return _reduced(_unpack(acc, self.n, bits, self.p), self.p)
+
+
 def _powmod(a, e: int, m, p):
-    """a^e modulo a nonzero m (square and multiply); 1 when e = 0."""
+    """a^e modulo a nonzero m (square and multiply); 1 when e = 0.  Over F_p
+    each step is one product of packed ints (see ``_Modulus``)."""
+    if p:
+        return _Modulus(m, p).power(a, e)
     result = _lift([1], p)
     acc = _divmod(a, m, p)[1]
     while e:
@@ -864,18 +946,20 @@ def _distinct_degree_split(f: list, p: int, rng: random.Random) -> list[list]:
     out = []
     x = [0, 1]
     h = _divmod(x, f, p)[1]
+    modulus = _Modulus(f, p)  # kept until a split changes f
     d = 0
     while len(f) > 1:
         d += 1
         if 2 * d > len(f) - 1:
             out.append(f)
             break
-        h = _powmod(h, p, f, p)
+        h = modulus.power(h, p)
         g = _gcd(_add(h, x, p, -1), f, p)
         if len(g) > 1:
             out.extend(_equal_degree_split(g, d, p, rng))
             f = _divmod(f, g, p)[0]
             h = _divmod(h, f, p)[1]
+            modulus = _Modulus(f, p)
     return out
 
 
@@ -884,7 +968,7 @@ def _equal_degree_split(g: list, d: int, p: int, rng: random.Random) -> list[lis
     (Cantor-Zassenhaus)."""
     if len(g) - 1 == d:
         return [g]
-    exp = (p**d - 1) // 2
+    exp, modulus = (p**d - 1) // 2, _Modulus(g, p)
     while True:
         w = _reduced([rng.randrange(p) for _ in range(len(g) - 1)], p)
         if len(w) < 2:
@@ -893,7 +977,7 @@ def _equal_degree_split(g: list, d: int, p: int, rng: random.Random) -> list[lis
         if 1 < len(shared) < len(g):
             left = shared
         else:
-            left = _gcd(_add(_powmod(w, exp, g, p), [1], p, -1), g, p)
+            left = _gcd(_add(modulus.power(w, exp), [1], p, -1), g, p)
             if not 1 < len(left) < len(g):
                 continue
         right = _divmod(g, left, p)[0]

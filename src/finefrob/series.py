@@ -843,7 +843,7 @@ def taylor_partial_exact(m: Matrix, spec: SeriesSpec, terms: int) -> Matrix:
         acc = [[x * step + c * y for x, y in zip(ra, rp)] for ra, rp in zip(acc, power)]
         den *= step
         if k < terms:
-            power = _product(power, a)
+            power = _product(power, a, 0)
     return Matrix._of(m.field, 0, acc, den)
 
 

@@ -216,9 +216,9 @@ def test_crt_projectors_share_one_power_table(monkeypatch):
     products = collections.Counter()
     original = finefrob.matrix._product
 
-    def counting(a, b):
+    def counting(*args):
         products["mul"] += 1
-        return original(a, b)
+        return original(*args)
 
     monkeypatch.setattr(finefrob.matrix, "_product", counting)
     projectors = crt_projectors(spectral.factorization, m)
@@ -260,9 +260,9 @@ def test_complete_jc_evaluates_at_m_once(m, degree, wanted, monkeypatch):
     products = collections.Counter()
     original = finefrob.matrix._product
 
-    def counting(a, b):
+    def counting(*args):
         products["mul"] += 1
-        return original(a, b)
+        return original(*args)
 
     monkeypatch.setattr(finefrob.matrix, "_product", counting)
     dec = complete_jc(m)
@@ -280,9 +280,9 @@ def test_fine_frobenius_reads_verticals_off_the_power_table(monkeypatch):
     products = collections.Counter()
     original = finefrob.matrix._product
 
-    def counting(a, b):
+    def counting(*args):
         products["mul"] += 1
-        return original(a, b)
+        return original(*args)
 
     monkeypatch.setattr(finefrob.matrix, "_product", counting)
     dec = finefrob.frobenius.fine_frobenius(m)
@@ -470,9 +470,9 @@ def test_fp_power_table_is_reduced(p, monkeypatch):
     reduced = []
     original = finefrob.matrix._product
 
-    def checking(a, b):
+    def checking(a, b, *args):
         reduced.append(all(0 <= x < p for rows in (a, b) for row in rows for x in row))
-        return original(a, b)
+        return original(a, b, *args)
 
     monkeypatch.setattr(finefrob.matrix, "_product", checking)
     value = eval_poly_at_matrix(f, m)
@@ -480,6 +480,39 @@ def test_fp_power_table_is_reduced(p, monkeypatch):
     monkeypatch.undo()
     assert len(reduced) >= 10 and all(reduced)
     assert value.rows == oracles.poly_eval_matrix(field, list(f.coeffs), m.rows)
+    assert verify_complete_jc(m, dec).passed
+
+
+@pytest.mark.parametrize("p", [7, 1009])
+def test_fp_matrix_kernels_take_no_dot_product(p, monkeypatch):
+    """Over F_p the matrix products and the Horner and Krylov steps run on
+    packed ints: ``minimal_polynomial``, ``eval_polys_at_matrix``,
+    ``Matrix.__mul__``, ``complete_jc`` and ``factor`` call the list kernel
+    ``matrix._dot`` zero times, while a product over Q calls it n^2 times."""
+    field = PrimeField(p)
+    m = _conjugated(field, [F7_DENSE, [[5, 1], [0, 5]]])
+    q = Matrix(QQ, F7_DENSE)
+    calls = collections.Counter()
+    original = finefrob.matrix._dot
+
+    def counting(*args):
+        calls["dot"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(finefrob.matrix, "_dot", counting)
+    mpoly = finefrob.matrix.minimal_polynomial(m)
+    f = Polynomial(field, list(range(1, 12)))
+    values = eval_polys_at_matrix([mpoly, f], m)
+    square = m * m
+    dec = complete_jc(m)
+    fact = finefrob.poly.factor(mpoly)
+    assert calls == {}
+    q * q
+    assert calls["dot"] == q.n**2
+    monkeypatch.undo()
+    assert values[0].is_zero and fact.expand(field) == mpoly
+    assert values[1].rows == oracles.poly_eval_matrix(field, list(f.coeffs), m.rows)
+    assert square.rows == oracles.mat_mul(field, m.rows, m.rows)
     assert verify_complete_jc(m, dec).passed
 
 

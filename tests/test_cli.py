@@ -594,6 +594,29 @@ def test_check_of_a_malformed_document_exits_1(tmp_path, capsys, result, path, v
     assert (code, verdict["error"]["code"]) == (1, "SchemaMismatch")
 
 
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda r: r.update(terms=-7),
+        lambda r: r.update(error_bounds=[["-5"] * len(row) for row in r["error_bounds"]]),
+        lambda r: r["error_bounds"][1].__setitem__(2, "abc"),
+        lambda r: r.update(error_bounds=r["error_bounds"][:3]),
+        lambda r: r.pop("terms"),
+        lambda r: r.pop("error_bounds"),
+    ],
+    ids=["terms-7", "bounds-5", "bound-abc", "bounds-3x4", "no-terms", "no-bounds"],
+)
+def test_check_reads_terms_and_bounds_of_an_arch_apply_document(tmp_path, capsys, forge):
+    """An archimedean apply document is read in full: terms as apply reads
+    --terms and every error bound as a nonnegative literal of an n x n array,
+    so a forged value or a missing key is SchemaMismatch, not a verdict."""
+    doc = _golden_result("apply-exp-arch-q_semisimple")
+    forge(doc["result"])
+    rpath = write_doc(tmp_path, "r.json", doc)
+    code, verdict = run_json(capsys, ["check", str(GOLDEN / "inputs" / "q_semisimple.json"), rpath])
+    assert (code, verdict["error"]["code"]) == (1, "SchemaMismatch")
+
+
 def test_check_rejects_result_without_command(tmp_path, capsys):
     path = write_doc(tmp_path, "m.json", mat_doc(WORKED))
     rpath = write_doc(tmp_path, "r.json", {"result": {}})

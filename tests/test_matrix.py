@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import corpus
 import finefrob.matrix
@@ -272,26 +272,31 @@ def test_semisimple_generator_matches_predicates():
 # ---------------------------------------------------------------------------
 
 @st.composite
-def fp_matrices(draw, count=1):
-    """(field, matrices) over F_3, F_7 or F_1009, n <= 8.
+def fp_matrices(draw, count=1, max_n=8):
+    """(field, matrices) over F_3, F_7, F_1009, F_(2^31 - 1) or F_(2^61 - 1),
+    n <= max_n: the two large primes make the widest slots of the packed
+    kernels.
 
-    Entries lean to 0, 1 and -1, and a matrix may repeat one diagonal block
-    (then be conjugated by a unit triangular matrix), so minimal polynomials
-    of degree below n, and their lcm over the Krylov vectors, are drawn too.
+    Entries lean to 0, 1 and -1, a matrix may be zero, and it may repeat one
+    diagonal block (then be conjugated by a unit triangular matrix), so
+    minimal polynomials of degree below n, and their lcm over the Krylov
+    vectors, are drawn too.  The entries come from a drawn seed: one draw
+    per entry would overrun hypothesis's buffer at n = 16.
     """
-    p = draw(st.sampled_from((3, 7, 1009)))
+    p = draw(st.sampled_from((3, 7, 1009, 2**31 - 1, 2**61 - 1)))
     field = PrimeField(p)
-    n = draw(st.integers(1, 8))
-    entry = st.sampled_from((0, 1, p - 1)) | st.integers(0, p - 1)
+    n = draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
 
     def square(k):
-        row = st.lists(entry, min_size=k, max_size=k)
-        return draw(st.lists(row, min_size=k, max_size=k))
+        return [[rng.choice((0, 1, p - 1)) if rng.random() < 0.5 else rng.randrange(p)
+                 for _ in range(k)] for _ in range(k)]
 
     out = []
     for _ in range(count):
-        rows = square(n)
-        k = draw(st.integers(1, n))
+        rows, k = square(n), draw(st.integers(1, n))
+        if rng.random() < 0.125:
+            rows, k = [[0] * n for _ in range(n)], n
         if k < n:
             block = square(k)
             rows = [[block[i % k][j % k] if i // k == j // k else 0 for j in range(n)]
@@ -306,7 +311,14 @@ def fp_matrices(draw, count=1):
     return field, out
 
 
-@given(fp_matrices(count=2))
+# every entry p - 1 at n = 16: each slot of a packed product holds n (p - 1)^2
+F61 = PrimeField(2**61 - 1)
+F61_FULL, F61_ZERO = Matrix(F61, [[-1] * 16] * 16), Matrix.zeros(F61, 16)
+
+
+@given(fp_matrices(count=2, max_n=16))
+@example((F61, [F61_FULL, F61_FULL]))
+@example((F61, [F61_FULL, F61_ZERO]))
 def test_fp_product_and_apply_match_oracle(drawn):
     field, (a, b) = drawn
     oracle = oracles.mat_mul(field, a.rows, b.rows)
@@ -316,7 +328,9 @@ def test_fp_product_and_apply_match_oracle(drawn):
         assert a.apply(column) == tuple(row[j] for row in oracle)
 
 
-@given(fp_matrices())
+@given(fp_matrices(max_n=16))
+@example((F61, [F61_FULL]))
+@example((F61, [F61_ZERO]))
 def test_fp_minimal_polynomial_matches_oracle(drawn):
     field, (m,) = drawn
     oracle = oracles.oracle_minimal_polynomial(field, m.rows)

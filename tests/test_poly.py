@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from finefrob import (
@@ -615,9 +615,11 @@ BIG = 10**30
 
 @st.composite
 def fp_polynomials(draw, count):
-    """(field, polys) over F_3, F_7, F_1009, or Q with numerators and
-    denominators up to about 1e30 (degree at most 6 there, at most 19 over F_p)."""
-    field = draw(st.sampled_from((PrimeField(3), PrimeField(7), PrimeField(1009), QQ)))
+    """(field, polys) over F_3, F_7, F_1009, F_(2^31 - 1), F_(2^61 - 1), or Q
+    with numerators and denominators up to about 1e30 (degree at most 6
+    there, at most 19 over F_p)."""
+    field = draw(st.sampled_from((PrimeField(3), PrimeField(7), PrimeField(1009),
+                                  PrimeField(2**31 - 1), PrimeField(2**61 - 1), QQ)))
     if field.characteristic:
         p = field.p
         coeffs = st.lists(st.sampled_from((0, 1, p - 1)) | st.integers(0, p - 1), max_size=20)
@@ -693,14 +695,42 @@ def test_fp_divmod_reconstructs(drawn):
     assert _oracle_add(field, product, rem.coeffs) == list(f.coeffs)
 
 
-@given(fp_polynomials(count=2), st.integers(0, 40))
-def test_fp_powmod_is_the_power_reduced(drawn, e):
+F61 = PrimeField(2**61 - 1)  # every coefficient p - 1 fills the packed slots most
+
+
+def _power_reduced(f, e, g):
+    """f^e mod g, e > 0, by square and multiply with ``*`` and ``%``."""
+    result, base = Polynomial.one(f.field), f % g
+    while e:
+        if e & 1:
+            result = result * base % g
+        base, e = base * base % g, e >> 1
+    return result
+
+
+@settings(max_examples=100)
+@given(fp_polynomials(count=2), st.sampled_from((None, 1, 2)),
+       st.sampled_from(("p", "p^3", "(p^3-1)/2")) | st.integers(0, 40))
+@example((F61, [Polynomial(F61, [-1] * 20), Polynomial(F61, [-1] * 17)]), None, "(p^3-1)/2")
+def test_fp_powmod_is_the_power_reduced(drawn, modulus_degree, e):
+    """Also modulo degree 1 and 2, and to the exponents p and p^3 of
+    distinct-degree factoring and (p^3 - 1)/2 of equal-degree splitting
+    (with p = 3 over Q), checked by square and multiply with ``*`` and
+    ``%`` where f**e is too large."""
     field, (f, g) = drawn
+    if modulus_degree:
+        g = Polynomial(field, [*g.coeffs[:modulus_degree], field.from_int(2)])
+    if isinstance(e, str):
+        p = field.characteristic or 3
+        e = {"p": p, "p^3": p**3, "(p^3-1)/2": (p**3 - 1) // 2}[e]
     if g.is_zero:
         with pytest.raises(DivisionByZeroPoly):
             poly_powmod(f, e, g)
         return
-    expected = f**e % g if e else Polynomial.one(field)  # 1 even modulo a constant
+    if not e:
+        expected = Polynomial.one(field)  # 1 even modulo a constant
+    else:
+        expected = f**e % g if e <= 40 else _power_reduced(f, e, g)
     assert poly_powmod(f, e, g) == expected
 
 
