@@ -2,8 +2,10 @@
 
 The semisimple part S of M is x(M) for a polynomial x that is unique modulo
 the minimal polynomial mu.  ``jc_decompose_newton`` finds x by Newton's
-iteration on the squarefree part q of mu in K[X]/(mu), with exact
-annihilation q(x) = 0 as the termination certificate, and splits M = S + N
+iteration on the squarefree part q of mu in K[X]/(mu), with the inverse of q'
+modulo q taken once: each step adds one power of the nilpotent ideal (q) to
+q(x), so exact annihilation q(x) = 0, the termination certificate, comes
+within nu - 1 steps, nu the largest multiplicity in mu.  It splits M = S + N
 (S semisimple, N nilpotent, both polynomial expressions of M).
 
 ``complete_jc`` refines this to M = H + V + N: H is diagonalizable over the
@@ -67,8 +69,6 @@ __all__ = [
     "verify_complete_jc",
     "crt_projectors",
 ]
-
-_NEWTON_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -134,22 +134,22 @@ def jc_decompose_newton(m: Matrix) -> AdditiveJC:
 
 def _newton_root(f: Polynomial, modulus: Polynomial) -> Polynomial:
     """The root of a separable f in K[X]/(modulus) that lifts X, modulus
-    dividing a power of f.
+    dividing f^nu.
 
-    Iterates x <- x - f(x) * f'(x)^{-1}; each step squares the defect, so
-    exact annihilation f(x) = 0, the certificate, is reached in at most
-    log2(max multiplicity) + 1 steps.
+    Iterates x <- x - f(x) u with u = f'^{-1} mod f, taken once and only when
+    X is not already the root.  Every x stays X modulo the nilpotent ideal
+    (f), so f'(x) u = 1 mod (f) and each step adds one power of f to f(x):
+    exact annihilation f(x) = 0, the certificate, comes within nu - 1 <=
+    deg modulus steps.
     """
     p, f_values, m = _values(f, modulus)
-    deriv = _derivative(f_values, p)
-    x = _divmod(_lift([0, 1], p), m, p)[1]
-    for _ in range(_NEWTON_CAP):
+    x, u = _divmod(_lift([0, 1], p), m, p)[1], None
+    for _ in range(_degree(m, p) + 1):
         fx = _compose(f_values, x, p, m)
         if _degree(fx, p) < 0:
             return Polynomial._of(f.field, p, x)
-        g, u = _xgcd(_compose(deriv, x, p, m), m, p)
-        if _degree(g, p):  # pragma: no cover - f is separable
-            raise NoModularInverse("f'(x) is not invertible modulo the modulus")
+        if u is None:
+            u = _xgcd(_derivative(f_values, p), f_values, p)[1]
         x = _divmod(_add(x, _times(fx, u, p), p, -1), m, p)[1]
     raise ArithmeticError("Newton iteration failed to terminate")  # pragma: no cover
 

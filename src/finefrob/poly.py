@@ -809,9 +809,9 @@ def _zassenhaus(coeffs: list[int]) -> list[list[int]]:
     return _recombine(coeffs, _hensel_lift(coeffs, factors, p, modulus), modulus, allowed)
 
 
-def _modular_factors(coeffs: list[int]) -> tuple[set[int], int, list[tuple]] | None:
+def _modular_factors(coeffs: list[int]) -> tuple[set[int], int, list[list]] | None:
     """Degrees a rational factor can have, a prime p, and the monic factors
-    modulo p, as residue tuples.
+    modulo p, as residue lists, split directly since f mod p is squarefree.
 
     Returns None when the polynomial is certified irreducible: by some
     modular image, or because no proper degree survives.  Every rational
@@ -832,7 +832,7 @@ def _modular_factors(coeffs: list[int]) -> tuple[set[int], int, list[tuple]] | N
         fq = _squarefree_mod(coeffs, q) if is_probable_prime(q) else None
         if fq is None:
             continue
-        factors = list(_factor_residues(_monic(fq, q), q, random.Random(q)))
+        factors = _distinct_degree_split(_monic(fq, q), q, random.Random(q))
         degs = [len(h) - 1 for h in factors]
         if degs == [deg]:
             return None

@@ -279,24 +279,17 @@ def _arch_member(alpha: Fraction, n: Fraction, radius) -> bool:
 def _padic_member(alpha: Fraction, n: Fraction, spec: SeriesSpec, p: int) -> bool:
     """Exact max(|alpha|, |beta|) < R test for one eigenvalue, beta^2 = -n.
 
-    Valuations live in (1/2)Z, so all comparisons are done on doubled
-    valuations; for named series R = p^(-1/(p-1)) the condition becomes
-    2v > 2/(p-1), and for declared rational R it becomes R^2 * p^(2v) > 1.
+    With v = min(v(alpha), v(beta)), in (1/2)Z: for named series R =
+    p^(-1/(p-1)) the condition is v (p - 1) > 1, and for a declared rational
+    R it is R^2 p^(2v) > 1.
     """
-    v2 = min(2 * padic_valuation(alpha, p), padic_valuation(n, p))
-    if spec.name != "CUSTOM":
-        if v2 == math.inf:
-            return True
-        return v2 * (p - 1) > 2
-    radius = _declared_radius(spec)
-    if radius == math.inf:
+    radius = _declared_radius(spec) if spec.name == "CUSTOM" else None
+    v = _padic_eigen_valuation(alpha, n, p)
+    if v == math.inf or radius == math.inf:
         return True
-    if v2 == math.inf:
-        return radius > 0
-    r2 = radius * radius
-    if v2 >= 0:
-        return r2 * p**v2 > 1
-    return r2 > p ** (-v2)
+    if radius is None:
+        return v * (p - 1) > 1
+    return radius * radius * Fraction(p) ** (2 * v) > 1
 
 
 def _member(components, spec: SeriesSpec, av: AbsValue) -> bool:

@@ -321,6 +321,23 @@ def _vp(x, p):
     return v
 
 
+def padic_abs(x, p):
+    """|x|_p = p^(-v_p(x)) as a Fraction, 0 for x = 0."""
+    return Fraction(0) if x == 0 else Fraction(1, p) ** _vp(x, p)
+
+
+def padic_in_domain(alpha, n, p, radius=None):
+    """Whether the eigenvalues alpha +- beta, beta^2 = -n, have
+    max(|alpha|_p, |beta|_p) < R, from the definition.  Both sides are
+    squared, with |beta|_p^2 = |n|_p, so every side is an exact rational;
+    radius None is R = p^(-1/(p-1)) of the named series, where both sides are
+    further raised to the power p - 1: max(|alpha|_p^2, |n|_p)^(p-1) < p^-2."""
+    largest = max(padic_abs(alpha, p) ** 2, padic_abs(n, p))
+    if radius is None:
+        return largest ** (p - 1) < Fraction(1, p * p)
+    return radius == math.inf or largest < Fraction(radius) ** 2
+
+
 def padic_cutoff_scan(coeffs, sources, p, target, cap):
     """The least t = 0, 1, 2, ... up to cap (else None) whose certified
     p-adic bound reaches target, by trying each t in turn.

@@ -21,6 +21,11 @@ import and constructs no ``argparse.ArgumentParser`` of its own.
 certificate fails, counted by wrapping the gcd kernel ``poly._gcd`` by modulus.
 ``minimal_polynomial`` multiplies Krylov relations and takes no gcd or lcm,
 counted by wrapping ``poly_gcd``, ``poly_lcm`` and ``matrix._local_annihilator``.
+The Newton root inverts f' modulo f once, by one extended gcd at the degree
+of f, and not at all when X is the root, counted by wrapping
+``jordan_chevalley._xgcd``; the modular stage of factoring over Q splits each
+image it has certified squarefree with no multiplicity count, counted by
+wrapping ``poly._multiplicities``.
 Factoring over F_p runs on residue lists and builds a ``Polynomial`` only for
 each factor it returns, counted by wrapping ``Polynomial.__init__`` and
 ``Polynomial._of``.  The F_p table of powers hands the product kernel only
@@ -411,6 +416,50 @@ def test_squarefree_part_of_squarefree_minpoly_takes_no_gcd_over_q(monkeypatch):
     assert calls[0] == 0 and calls[finefrob.poly.SQUAREFREE_PRIME] == 1
     assert finefrob.poly.squarefree_part(mpoly * mpoly) == mpoly
     assert calls[0] == 1
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_newton_inverts_f_prime_modulo_f_once(field, monkeypatch):
+    """``_newton_root`` takes one extended gcd, on (f', f), of degrees (1, 2)
+    for f = X^2 + 1 and mu = f^3, and none when mu is squarefree, as X is
+    then the root; the root is certified by f(x) = 0 and x = X modulo f."""
+    f = Polynomial(field, [1, 0, 1])
+    calls = []
+    original = finefrob.jordan_chevalley._xgcd
+
+    def recording(a, b, p):
+        calls.append((finefrob.poly._degree(a, p), finefrob.poly._degree(b, p)))
+        return original(a, b, p)
+
+    monkeypatch.setattr(finefrob.jordan_chevalley, "_xgcd", recording)
+    mu = f**3
+    root = finefrob.jordan_chevalley._newton_root(f, mu)
+    assert calls == [(1, 2)]
+    squarefree = f * Polynomial(field, [-2, 1])
+    assert finefrob.jordan_chevalley._newton_root(squarefree, squarefree) == Polynomial.x(field)
+    assert calls == [(1, 2)]
+    monkeypatch.undo()
+    zero = Polynomial.zero(field)
+    assert f.compose(root) % mu == zero and (root - Polynomial.x(field)) % f == zero
+
+
+def test_modular_stage_splits_its_squarefree_images(monkeypatch):
+    """Factoring X^6 + X + 1 over Q takes multiplicities once, for the
+    rational factors: each modular image is certified squarefree, so it is
+    split into distinct degrees with no multiplicity count."""
+    calls = collections.Counter()
+    original = finefrob.poly._multiplicities
+
+    def counting(*args):
+        calls["multiplicities"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(finefrob.poly, "_multiplicities", counting)
+    f = Polynomial(QQ, [1, 1, 0, 0, 0, 0, 1])
+    fact = finefrob.poly.factor(f)
+    assert calls["multiplicities"] == 1
+    monkeypatch.undo()
+    assert fact.expand(QQ) == f
 
 
 @pytest.mark.parametrize(

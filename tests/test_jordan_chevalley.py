@@ -249,6 +249,40 @@ def test_complete_jc_with_a_repeated_quadratic_factor(drawn):
     assert not dec.nilpotent.is_zero
 
 
+@pytest.mark.parametrize(
+    "field, coeffs, nu",
+    [
+        (QQ, [-2, 1], 16),
+        (PrimeField(7), [-2, 1], 16),
+        (QQ, [1, 0, 1], 6),
+        (PrimeField(7), [1, 0, 1], 6),
+        (PrimeField(3), [2, 1, 1], 4),
+    ],
+    ids=["Q-J16", "F7-J16", "Q-(X2+1)^6", "F7-(X2+1)^6", "F3-(X2+X+2)^4"],
+)
+def test_decompositions_at_high_multiplicity(field, coeffs, nu):
+    """One irreducible f of multiplicity nu up to 16, where the Newton root
+    takes up to nu - 1 steps: a Jordan block of size nu for a linear f, else
+    the companion matrix of f^nu.  The clauses hold, both routes give the
+    same S, and by the oracles' own arithmetic S has a squarefree minimal
+    polynomial and N^n = 0."""
+    f = Polynomial(field, coeffs)
+    if f.degree == 1:
+        m = Matrix(field, [[-f.coeff(0) if i == j else int(j == i + 1) for j in range(nu)]
+                           for i in range(nu)])
+    else:
+        m = Matrix.companion(f**nu)
+    dec = complete_jc(m)
+    assert verify_complete_jc(m, dec).passed
+    assert [(d.poly, d.multiplicity) for d in dec.factor_data] == [(f, nu)]
+    assert jc_decompose_newton(m).semisimple == dec.semisimple
+    s_minpoly = oracles.oracle_minimal_polynomial(field, dec.semisimple.rows)
+    assert oracles.is_squarefree(field, s_minpoly)
+    n = m.n
+    assert oracles.mat_powers(field, dec.nilpotent.rows, n)[n] == oracles.mat_zero(field, n)
+    assert not dec.nilpotent.is_zero
+
+
 # ---------------------------------------------------------------------------
 # complete decomposition over F_p
 # ---------------------------------------------------------------------------

@@ -36,9 +36,11 @@ from finefrob.errors import (
 )
 from finefrob.poly import (
     SQUAREFREE_PRIME,
+    _Modulus,
     _clear_denominators,
     _factor_fp,
     _gcd,
+    _pack,
     _rational_roots,
     _values,
     _xgcd,
@@ -732,6 +734,43 @@ def test_fp_powmod_is_the_power_reduced(drawn, modulus_degree, e):
     else:
         expected = f**e % g if e <= 40 else _power_reduced(f, e, g)
     assert poly_powmod(f, e, g) == expected
+
+
+def _remainder(a, m, p):
+    """a mod m over F_p by long division, on int lists, constant first."""
+    a, d, inv = list(a), len(m) - 1, pow(m[-1], -1, p)
+    for k in range(len(a) - 1, d - 1, -1):
+        c = a[k] * inv % p
+        for j, e in enumerate(m):
+            a[k - d + j] -= c * e
+    return [x % p for x in a[:d]]
+
+
+@settings(max_examples=120)
+@given(st.sampled_from((3, 1009, 2**31 - 1)), st.integers(1, 16), st.booleans(), st.data())
+def test_modulus_slots_hold_the_unreduced_sums(p, n, full, data):
+    """A slot of ``_Modulus`` for a modulus of degree n has room for a sum of
+    2n - 1 products of residues: (2n - 1)(p - 1)^2 < 2^bits.  ``_reduce``
+    forms, in each of the n low slots, the coefficient of the product (a sum
+    of at most n products) plus the table rows X^(n+k) mod m times the n - 1
+    high residues.  Recomputed here on plain ints, those sums stay within the
+    bound, and reduced mod p they are what ``_reduce`` returns and the
+    product modulo m.  ``full`` sets every residue to p - 1."""
+    residues = st.just(p - 1) if full else st.integers(0, p - 1) | st.just(p - 1)
+    m = data.draw(st.lists(residues, min_size=n, max_size=n)) + [p - 1 if full else 1]
+    a, b = (data.draw(st.lists(residues, min_size=n, max_size=n)) for _ in range(2))
+    modulus = _Modulus(m, p)
+    bound = (2 * n - 1) * (p - 1) ** 2
+    assert bound < 2**modulus.bits
+    product = [sum(a[i] * b[k - i] for i in range(max(0, k - n + 1), min(k, n - 1) + 1))
+               for k in range(2 * n - 1)]
+    rows = [_remainder([0] * (n + k) + [1], m, p) for k in range(n - 1)]
+    sums = [product[i] + sum(product[n + k] % p * row[i] for k, row in enumerate(rows))
+            for i in range(n)]
+    assert max(sums) <= bound
+    reduced = [s % p for s in sums]
+    assert reduced == _remainder(product, m, p)
+    assert modulus._reduce(_pack(a, modulus.bits) * _pack(b, modulus.bits)) == reduced
 
 
 @given(

@@ -99,6 +99,8 @@ def test_custom_radius_required():
         radius_of_convergence(spec, ARCH)
     with pytest.raises(UnknownRadius):
         in_omega_hat(qmat([[1]]), spec, ARCH)
+    with pytest.raises(UnknownRadius):
+        in_omega_hat(qmat([[0]]), spec, AbsValue.padic(3))
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +179,34 @@ def test_in_omega_hat_padic():
     assert not in_omega_hat(Matrix.identity(QQ, 2), SeriesSpec.exp(), p3)
     five_i = Matrix.identity(QQ, 2).scale(Fraction(5))
     assert in_omega_hat(five_i, SeriesSpec.exp(), AbsValue.padic(5))
+
+
+def _p_scaled(p, numerators, denominators, exponents):
+    """Fractions (a / b) p^k: a, b, k drawn from the given ranges."""
+    return st.builds(lambda a, b, k: Fraction(a, b) * Fraction(p) ** k,
+                     numerators, denominators, exponents)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from((3, 5, 7)), st.data())
+def test_in_omega_hat_padic_matches_the_definition(p, data):
+    """``in_omega_hat`` under padic:p agrees with the oracle built from
+    max(|alpha|_p, |beta|_p) < R, beta^2 = -n: on [[alpha, -n], [1, alpha]]
+    with n > 0 (eigen data (alpha, n)) and on 1 x 1 [alpha], alpha and n
+    carrying positive, zero and negative powers of p, for the named series
+    and for CUSTOM radii on both sides of, and equal to, p^(-v)."""
+    alpha = data.draw(_p_scaled(p, st.integers(-6, 6), st.integers(1, 6), st.integers(-3, 3)))
+    n = data.draw(st.just(0) | _p_scaled(p, st.integers(1, 6), st.integers(1, 6),
+                                          st.integers(-3, 3)))
+    m = qmat([[alpha, -n], [1, alpha]]) if n else qmat([[alpha]])
+    if data.draw(st.booleans()):
+        spec, radius = SeriesSpec.named(data.draw(st.sampled_from(series.NAMED_SERIES))), None
+    else:
+        radius = data.draw(st.just(math.inf) | _p_scaled(p, st.integers(1, 3), st.integers(1, 3),
+                                                         st.integers(-4, 4)))
+        spec = SeriesSpec.custom([1, 1, 1], radius)
+    expected = oracles.padic_in_domain(alpha, n, p, radius)
+    assert in_omega_hat(m, spec, AbsValue.padic(p)) is expected
 
 
 def test_in_omega_hat_trivial_absolute_value():

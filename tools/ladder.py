@@ -5,8 +5,11 @@
 For each field (Q, F_1009), each kind of matrix and each size, a fresh
 interpreter imports finefrob from one source tree, builds the seeded
 matrices and times, for each seed, ``minimal_polynomial``, ``factor`` of
-that polynomial, ``complete_jc`` and ``verify_complete_jc`` of its result:
-n = 2..24 for all four, n = 32 and 40 for the minimal polynomial only.
+that polynomial, ``newton``, ``complete_jc`` and ``verify_complete_jc`` of
+its result: n = 2..24 for all five, n = 32 and 40 for the minimal polynomial
+only.  ``newton`` is ``jordan_chevalley._newton_root(q, mu)`` as route 1 of
+``complete_jc`` calls it, mu the minimal polynomial and q its squarefree part
+over Q, the radical of the factor layer's result over F_p.
 The base tree is ``git archive`` of ``--base``; the two trees run one after
 the other for every size, in an order that flips from size to size, so a
 drift of the host's speed falls on both.  Kinds, built by ``build``; C(f) is
@@ -32,9 +35,9 @@ the companion matrix of f and P is unit upper triangular with entries in
   and e_{2k} the relation g.
 
 Every call runs under a ``TIMEOUT_S`` alarm; a call past it is recorded as
-``"timeout"`` and never dropped, and a layer whose input timed out is
-``"not run"``.  Before each call the child times perfbench's reference job,
-``perfbench.run.reference()``, and records the call's time twice: as
+``"timeout"`` and never dropped, and a layer whose input timed out or failed
+is ``"not run"``.  Before each call the child times perfbench's reference
+job, ``perfbench.run.reference()``, and records the call's time twice: as
 measured and scaled by ``REFERENCE_S`` over the reference time, so that it
 reads as if the job took ``REFERENCE_S`` (a shared host changes speed by a
 third within seconds).  A summary gives p50 and max over the ``SEEDS`` seeds,
@@ -58,7 +61,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("minimal_polynomial", "factor", "complete_jc", "verify_complete_jc")
+LAYERS = ("minimal_polynomial", "factor", "newton", "complete_jc", "verify_complete_jc")
 FIELDS = ("Q", "Fp:1009")
 KINDS = ("dense", "near_cyclic", "two_blocks", "repeated")
 FULL_SIZES = range(2, 25)
@@ -120,8 +123,9 @@ CHILD = r'''
 import json, random, signal, sys, time
 sys.path[:0] = sys.argv[1:4]
 from finefrob import field_from_tag, minimal_polynomial, factor
-from finefrob import complete_jc, verify_complete_jc
+from finefrob import complete_jc, squarefree_part, verify_complete_jc
 from finefrob.errors import FinefrobError
+from finefrob.jordan_chevalley import _newton_root
 from ladder import SEEDS, TIMEOUT_S, build
 from perfbench.run import REFERENCE_S, reference
 
@@ -160,7 +164,12 @@ for seed in range(SEEDS):
     out = {}
     mp, out["minimal_polynomial"] = timed(minimal_polynomial, m)
     if "factor" in layers:
-        out["factor"] = timed(factor, mp)[1] if mp is not None else "not run"
+        fact, out["factor"] = timed(factor, mp) if mp is not None else (None, "not run")
+        if (mp if field.characteristic == 0 else fact) is None:
+            out["newton"] = "not run"
+        else:
+            q = squarefree_part(mp) if field.characteristic == 0 else fact.radical(field)
+            out["newton"] = timed(_newton_root, q, mp)[1]
         dec, out["complete_jc"] = timed(complete_jc, m)
         out["verify_complete_jc"] = (timed(verify_complete_jc, m, dec)[1]
                                      if dec is not None else "not run")
