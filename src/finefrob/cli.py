@@ -23,7 +23,15 @@ from fractions import Fraction
 import mpmath
 
 from . import jsonio
-from .errors import CapExceeded, DomainError, FieldMismatch, InputError, SchemaMismatch
+from .errors import (
+    CapExceeded,
+    DegreeTooLarge,
+    DomainError,
+    FieldMismatch,
+    InputError,
+    NotKRegular,
+    SchemaMismatch,
+)
 from .frobenius import (
     _covariant_sum,
     _normalized_sum,
@@ -44,7 +52,7 @@ from .matrix import (
     is_semisimple,
     minimal_polynomial,
 )
-from .poly import factor
+from .poly import FACTOR_DEGREE_CAP, factor
 from .scalar import AbsValue
 from .series import (
     SeriesSpec,
@@ -237,6 +245,10 @@ def _check_factor(input_doc, result) -> dict:
     return {
         "factors_monic": all(poly.is_monic for poly in polys),
         "factors_distinct": len(set(polys)) == len(polys),
+        # a factor past the cap is not factored, and reads as not certified
+        "factors_irreducible": bounded and all(
+            1 <= poly.degree <= FACTOR_DEGREE_CAP and factor(poly).factors == ((poly, 1),)
+            for poly in polys),
         "product_reconstructs": bounded and fact.expand(f.field) == f,
     }
 
@@ -246,7 +258,7 @@ def _check_jc(input_doc, result) -> dict:
     s, n = jsonio.parts_from_json(result, ("S", "N"), m, "jc document")
     try:
         semisimple = is_semisimple(s)
-    except FieldMismatch:  # a minimal polynomial off the ground field, as in check cjc
+    except (DegreeTooLarge, FieldMismatch, NotKRegular):  # as check cjc reads them
         semisimple = False
     return {
         "sum_reconstructs": s + n == m,

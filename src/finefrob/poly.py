@@ -10,23 +10,23 @@ Factorization is complete for both supported ground fields:
   when p = SQUAREFREE_PRIME does not divide the leading coefficient of f's
   primitive integer form and gcd(f mod p, f' mod p) = 1 (von zur Gathen &
   Gerhard, Modern Computer Algebra, ch. 14); clear denominators, pull the
-  rational roots by lifting the roots modulo a small prime p-adically (no
-  integer is factored; ibid., ch. 15), then Zassenhaus' modular
-  algorithm: factor modulo small primes (their factor-degree patterns bound
-  the degrees of rational factors and often certify irreducibility),
-  Hensel-lift the factors modulo the prime with the fewest of them past a
-  Landau-Mignotte coefficient bound, and recombine subsets of the lifted
-  factors by increasing size, pruned by degree and by the trailing
-  coefficient.  Only recombination is exponential: in the number r of
-  modular factors, not in the degree, and it tries subsets of at most r/2
-  factors.  Under the degree cap r <= 24, and in practice r is far smaller:
-  the prime is the one of three with the fewest factors, each rational
-  factor found removes its subset, and only subsets of a degree that every
-  prime's pattern admits are multiplied out.  The search grows only when
-  every prime splits the polynomial into many small factors, as for
-  products of Swinnerton-Dyer polynomials;
+  rational roots, 0 among them, by lifting the roots modulo a small prime
+  p-adically (no integer is factored; ibid., ch. 15), then Zassenhaus'
+  modular algorithm: factor modulo up to three small primes, keeping the
+  degrees a rational factor can have as one bit mask (every prime's factor
+  degrees must sum to it), and stop as soon as the mask leaves no proper
+  degree, which proves irreducibility; else Hensel-lift the factors modulo
+  the prime with the fewest of them past a Landau-Mignotte coefficient bound,
+  and recombine subsets of the lifted factors by increasing size, pruned by
+  the mask and by the trailing coefficient.  Only recombination is
+  exponential: in the number r of modular factors, not in the degree, and
+  it tries subsets of at most r/2 factors.  Under the degree cap r <= 24,
+  and in practice r is far smaller.  The search grows only when every prime
+  splits the polynomial into many small factors, as for products of
+  Swinnerton-Dyer polynomials;
 * over F_p: distinct-degree splitting via modular Frobenius powers followed by
-  equal-degree splitting, with p-th-root descent when the derivative vanishes.
+  equal-degree splitting, one gcd per random draw, with p-th-root descent
+  when the derivative vanishes.
 
 A hard degree cap keeps the recombination bounded; factors are returned in a
 canonical order so downstream results are deterministic.
@@ -715,12 +715,6 @@ def _multiplicities(f, irreducibles, p):
 def _factor_squarefree_q(f: Polynomial) -> list[Polynomial]:
     """Monic irreducible factors of a monic squarefree polynomial over Q."""
     out: list[Polynomial] = []
-    # strip a power of X
-    if not f._coeffs[0]:
-        out.append(Polynomial.x(QQ))
-        f = f // out[-1]
-    if f.degree == 0:
-        return out
     for num, den in _rational_roots(_clear_denominators(f)):
         out.append(Polynomial._of(QQ, 0, ([-num, den], den)))
         f = f // out[-1]
@@ -793,11 +787,36 @@ def _eval(coeffs: list[int], x: int, m: int) -> int:
 
 def _zassenhaus(coeffs: list[int]) -> list[list[int]]:
     """Irreducible primitive integer factors of a primitive squarefree
-    polynomial of degree >= 4: factor modulo a prime, Hensel-lift, recombine."""
-    modular = _modular_factors(coeffs)
-    if modular is None:
-        return [coeffs]
-    allowed, p, factors = modular
+    polynomial of degree >= 4 with no rational root: factor modulo small
+    primes, Hensel-lift the factors of the one with the fewest, recombine.
+
+    A rational factor reduces mod a good prime to a product of some of the
+    modular factors, so its degree is a subset sum of every good prime's
+    factor degrees: bit d of the mask ``allowed``.  Once no bit in 2..deg-2
+    survives (1 and deg-1 would give a rational root), the polynomial is
+    irreducible and no further prime is tried.  Each image is certified
+    squarefree, so it is split directly.
+    """
+    deg = len(coeffs) - 1
+    allowed, proper = (1 << deg + 1) - 1, (1 << deg - 1) - 4  # bits 0..deg, 2..deg-2
+    factors, p, good, q = None, 0, 0, 1
+    # the primes 3..47 with a budget of 3 good ones; past 47 only until one is
+    # good, which always happens since the polynomial is squarefree
+    while good < 3 and (q < 47 or not good):
+        q += 2
+        fq = _squarefree_mod(coeffs, q) if is_probable_prime(q) else None
+        if fq is None:
+            continue
+        image = _distinct_degree_split(_monic(fq, q), q, random.Random(q))
+        mask = 1
+        for h in image:
+            mask |= mask << len(h) - 1
+        allowed &= mask
+        if not allowed & proper:
+            return [coeffs]
+        if factors is None or len(image) < len(factors):
+            factors, p = image, q
+        good += 1
     # a factor g of degree < deg has coefficients at most 2^(deg-1) ||coeffs||_2
     # (Landau-Mignotte); a subset of lifted factors gives (lc / lc(g)) g, which
     # its residues in [-modulus/2, modulus/2] recover once modulus > 2 lc times that
@@ -807,45 +826,6 @@ def _zassenhaus(coeffs: list[int]) -> list[list[int]]:
     while modulus <= bound:
         modulus *= p
     return _recombine(coeffs, _hensel_lift(coeffs, factors, p, modulus), modulus, allowed)
-
-
-def _modular_factors(coeffs: list[int]) -> tuple[set[int], int, list[list]] | None:
-    """Degrees a rational factor can have, a prime p, and the monic factors
-    modulo p, as residue lists, split directly since f mod p is squarefree.
-
-    Returns None when the polynomial is certified irreducible: by some
-    modular image, or because no proper degree survives.  Every rational
-    factor reduces mod a good prime to a product of a sub-multiset of the
-    modular irreducible factors, so its degree must be a subset sum of every
-    good prime's degree multiset.  The factors returned are those of the good
-    prime with the fewest, which keeps recombination smallest.
-    """
-    deg = len(coeffs) - 1
-    allowed = set(range(deg + 1))
-    fewest, fewest_p = None, 0
-    good = 0
-    q = 1
-    # the primes 3..47 with a budget of 3 good ones; past 47 only until one is
-    # good, which always happens since the polynomial is squarefree
-    while good < 3 and (q < 47 or not good):
-        q += 2
-        fq = _squarefree_mod(coeffs, q) if is_probable_prime(q) else None
-        if fq is None:
-            continue
-        factors = _distinct_degree_split(_monic(fq, q), q, random.Random(q))
-        degs = [len(h) - 1 for h in factors]
-        if degs == [deg]:
-            return None
-        mask = 1
-        for d in degs:
-            mask |= mask << d
-        allowed &= {d for d in range(deg + 1) if (mask >> d) & 1}
-        if fewest is None or len(factors) < len(fewest):
-            fewest, fewest_p = factors, q
-        good += 1
-    if not any(2 <= d <= deg - 2 for d in allowed):
-        return None
-    return allowed, fewest_p, fewest
 
 
 def _squarefree_mod(coeffs: list[int], q: int) -> list[int] | None:
@@ -879,12 +859,13 @@ def _hensel_lift(coeffs: list[int], factors: list, p: int, modulus: int) -> list
     return lifted
 
 
-def _recombine(f: list[int], lifted: list[list[int]], m: int, allowed: set[int]) -> list[list[int]]:
+def _recombine(f: list[int], lifted: list[list[int]], m: int, allowed: int) -> list[list[int]]:
     """Primitive irreducible factors of f, from its monic factors lifted mod m.
 
     Subsets are tried by increasing size, up to half of what is left (a larger
     one is the complement of a smaller); a subset survives only if its degree
-    is allowed and its trailing coefficient divides that of lc * f.
+    d is allowed (bit d of the mask) and its trailing coefficient divides
+    that of lc * f.
     """
     out = []
     half = m // 2  # m is odd: residues are taken in [-half, half]
@@ -892,7 +873,7 @@ def _recombine(f: list[int], lifted: list[list[int]], m: int, allowed: set[int])
     while 2 * size <= len(lifted):
         lc = f[-1]
         for subset in itertools.combinations(range(len(lifted)), size):
-            if sum(len(lifted[i]) - 1 for i in subset) not in allowed:
+            if not allowed >> sum(len(lifted[i]) - 1 for i in subset) & 1:
                 continue
             trailing = lc
             for i in subset:
@@ -965,7 +946,8 @@ def _distinct_degree_split(f: list, p: int, rng: random.Random) -> list[list]:
 
 def _equal_degree_split(g: list, d: int, p: int, rng: random.Random) -> list[list]:
     """Split monic residues g, a product of distinct degree-d irreducibles
-    (Cantor-Zassenhaus)."""
+    (Cantor-Zassenhaus): a draw w splits off gcd(w^((p^d - 1)/2) - 1, g),
+    one power and one gcd per draw."""
     if len(g) - 1 == d:
         return [g]
     exp, modulus = (p**d - 1) // 2, _Modulus(g, p)
@@ -973,15 +955,10 @@ def _equal_degree_split(g: list, d: int, p: int, rng: random.Random) -> list[lis
         w = _reduced([rng.randrange(p) for _ in range(len(g) - 1)], p)
         if len(w) < 2:
             continue
-        shared = _gcd(w, g, p)
-        if 1 < len(shared) < len(g):
-            left = shared
-        else:
-            left = _gcd(_add(modulus.power(w, exp), [1], p, -1), g, p)
-            if not 1 < len(left) < len(g):
-                continue
-        right = _divmod(g, left, p)[0]
-        return _equal_degree_split(left, d, p, rng) + _equal_degree_split(right, d, p, rng)
+        left = _gcd(_add(modulus.power(w, exp), [1], p, -1), g, p)
+        if 1 < len(left) < len(g):
+            right = _divmod(g, left, p)[0]
+            return _equal_degree_split(left, d, p, rng) + _equal_degree_split(right, d, p, rng)
 
 
 # ---------------------------------------------------------------------------

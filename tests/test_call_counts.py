@@ -25,7 +25,11 @@ The Newton root inverts f' modulo f once, by one extended gcd at the degree
 of f, and not at all when X is the root, counted by wrapping
 ``jordan_chevalley._xgcd``; the modular stage of factoring over Q splits each
 image it has certified squarefree with no multiplicity count, counted by
-wrapping ``poly._multiplicities``.
+wrapping ``poly._multiplicities``; it splits no image past the prime whose
+degree mask proves the polynomial irreducible, recorded by wrapping
+``poly._distinct_degree_split`` and ``poly._hensel_lift``; and equal-degree
+splitting takes one gcd per random draw, counted by wrapping ``poly._gcd``
+and ``poly._Modulus.power``.
 Factoring over F_p runs on residue lists and builds a ``Polynomial`` only for
 each factor it returns, counted by wrapping ``Polynomial.__init__`` and
 ``Polynomial._of``.  The F_p table of powers hands the product kernel only
@@ -38,6 +42,7 @@ coerce nothing and build no element, counted by wrapping ``coerce``,
 
 import argparse
 import collections
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -144,7 +149,7 @@ def test_command_computes_spectral_data_once(argv, minpoly, factor, counts, caps
         ("domain-exp-arch-q_semisimple", "q_semisimple", 0, 0),
         ("apply-exp-arch-q_semisimple", "q_semisimple", 0, 0),
         ("apply-sin-padic3-q_semisimple", "q_semisimple", 1, 1),
-        ("factor-f3", "f3_poly", 0, 0),
+        ("factor-f3", "f3_poly", 0, 2),  # factors_irreducible factors each of the two
     ],
 )
 def test_check_counts(result, source, minpoly, factor, counts, capsys, tmp_path):
@@ -460,6 +465,66 @@ def test_modular_stage_splits_its_squarefree_images(monkeypatch):
     assert calls["multiplicities"] == 1
     monkeypatch.undo()
     assert fact.expand(QQ) == f
+
+
+@pytest.mark.parametrize(
+    "coeffs, primes, lifted",
+    [
+        ([1, 1, 0, 0, 1], [3], []),  # X^4 + X + 1: irreducible mod 3
+        # X^4 + 1 splits into quadratics or linears mod every prime; two
+        # quadratics mod 3 are the fewest factors, lifted
+        ([1, 0, 0, 0, 1], [3, 5, 7], [3]),
+    ],
+    ids=["x4+x+1", "x4+1"],
+)
+def test_modular_stage_stops_at_its_answer(coeffs, primes, lifted, monkeypatch):
+    """Factoring over Q splits images modulo the primes 3, 5, 7, ... only
+    until the degree mask leaves no degree in 2..deg-2, which proves the
+    polynomial irreducible; X^4 + 1 keeps degree 2 through all three primes,
+    so it is lifted and recombination returns it whole."""
+    seen, lifts = [], []
+    split, lift = finefrob.poly._distinct_degree_split, finefrob.poly._hensel_lift
+
+    def recording(f, p, rng):
+        seen.append(p)
+        return split(f, p, rng)
+
+    def lifting(*args):
+        lifts.append(args[2])
+        return lift(*args)
+
+    monkeypatch.setattr(finefrob.poly, "_distinct_degree_split", recording)
+    monkeypatch.setattr(finefrob.poly, "_hensel_lift", lifting)
+    f = Polynomial(QQ, coeffs)
+    fact = finefrob.poly.factor(f)
+    assert (seen, lifts) == (primes, lifted)
+    assert fact.factors == ((f, 1),)
+
+
+def test_equal_degree_split_takes_one_gcd_per_draw(monkeypatch):
+    """Splitting (X - 1)(X - 2)...(X - 6) over F_7 into its linear factors
+    takes one gcd per modular power: one per random draw."""
+    g = [1]
+    for root in range(1, 7):
+        g = finefrob.poly._mul(g, [-root % 7, 1])
+    g = [c % 7 for c in g]
+    calls = collections.Counter()
+    gcd, power = finefrob.poly._gcd, finefrob.poly._Modulus.power
+
+    def counting_gcd(*args):
+        calls["gcd"] += 1
+        return gcd(*args)
+
+    def counting_power(self, *args):
+        calls["power"] += 1
+        return power(self, *args)
+
+    monkeypatch.setattr(finefrob.poly, "_gcd", counting_gcd)
+    monkeypatch.setattr(finefrob.poly._Modulus, "power", counting_power)
+    factors = finefrob.poly._equal_degree_split(g, 1, 7, random.Random(0))
+    monkeypatch.undo()
+    assert sorted(factors) == sorted([-root % 7, 1] for root in range(1, 7))
+    assert calls["power"] >= 5 and calls["gcd"] == calls["power"]
 
 
 @pytest.mark.parametrize(

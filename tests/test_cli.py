@@ -555,6 +555,51 @@ def test_check_factor_past_the_degree_answers_without_expanding(tmp_path, capsys
         assert verdict["report"]["product_reconstructs"] is False
 
 
+X2_MINUS_1 = {"field": "Q", "coeffs": ["-1", "0", "1"]}
+X25_F3 = {"field": "Fp:3", "coeffs": ["0"] * 25 + ["1"]}
+
+
+@pytest.mark.parametrize(
+    "poly, factors",
+    [
+        (X2_MINUS_1, [{"coeffs": ["-1", "0", "1"], "multiplicity": 1}]),
+        (X2_MINUS_1, [{"coeffs": ["-1", "1"], "multiplicity": 1},
+                      {"coeffs": ["1", "1"], "multiplicity": 1},
+                      {"coeffs": ["1"], "multiplicity": 2}]),
+        (X25_F3, [{"coeffs": X25_F3["coeffs"], "multiplicity": 1}]),
+    ],
+    ids=["unsplit", "unit-factor", "past-the-cap"],
+)
+def test_check_factor_rejects_a_factor_that_is_not_irreducible(tmp_path, capsys, poly, factors):
+    """X^2 - 1 claimed as itself, or as (X - 1)(X + 1) 1^2: both are monic,
+    distinct and multiply to X^2 - 1, but X^2 - 1 splits and 1 is no
+    irreducible.  X^25 over F_3 claimed whole has degree past
+    FACTOR_DEGREE_CAP: it is not factored, and reads as not irreducible."""
+    fpath = write_doc(tmp_path, "f.json", poly)
+    forged = {"command": "factor", "result": {"unit": "1", "factors": factors}}
+    code, verdict = run_json(capsys, ["check", fpath, write_doc(tmp_path, "r.json", forged)])
+    assert code == 0 and verdict["result"]["passed"] is False
+    failing = sorted(k for k, v in verdict["report"].items() if v is False)
+    assert failing == ["factors_irreducible"]
+
+
+def test_check_jc_of_a_split_that_is_not_k_regular_reaches_a_verdict(tmp_path, capsys):
+    """M over F_3 with mu = X^3 + 2X + 2, irreducible of degree 3 = p, split
+    as S = M, N = 0: M is not K-regular, so S is reported not semisimple, as
+    check cjc reports V of the same split."""
+    m = [["0", "0", "1"], ["1", "0", "1"], ["0", "1", "0"]]
+    zero = mat_doc([["0"] * 3] * 3, "Fp:3")
+    path = write_doc(tmp_path, "m.json", mat_doc(m, "Fp:3"))
+    for forged, clause in (
+        ({"command": "jc", "result": {"S": mat_doc(m, "Fp:3"), "N": zero}}, "semisimple"),
+        ({"command": "cjc", "result": {"H": zero, "V": mat_doc(m, "Fp:3"), "N": zero}},
+         "vertical_semisimple_reduced"),
+    ):
+        code, verdict = run_json(capsys, ["check", path, write_doc(tmp_path, "r.json", forged)])
+        assert code == 0 and verdict["result"]["passed"] is False
+        assert verdict["report"][clause] is False
+
+
 def test_malformed_command_input_exits_1(tmp_path, capsys):
     """A quadratic entry with d = 0 is no element of an extension, and "abc"
     is no coefficient of a custom series."""

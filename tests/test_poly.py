@@ -332,6 +332,8 @@ def test_factor_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(2024)
     cases = [q(-1, *[0] * (n - 1), 1) for n in range(1, FACTOR_DEGREE_CAP + 1)]  # X^n - 1
+    # the root 0 of the rational roots beside an irreducible quartic: X^3 (X^4 + X + 1)
+    cases.append(q(0, 0, 0, 1, 1, 0, 0, 1))
     # Swinnerton-Dyer polynomials for sqrt2 + sqrt3 and sqrt2 + sqrt3 + sqrt5:
     # irreducible, yet split into factors of degree <= 2 modulo every prime
     cases += [q(1, 0, -10, 0, 1), q(576, 0, -960, 0, 352, 0, -40, 0, 1)]
