@@ -12,8 +12,8 @@ always in exact arithmetic:
   polynomial splits into factors of degree at most 2, and its normalized
   variant with unit verticals;
 - convergent power series f(M) through the covariants, with certified error
-  bounds: BigFloat values archimedean, exact rationals plus a valuation bound
-  p-adically.
+  bounds: exact rationals with per-entry tail bounds archimedean, exact
+  rationals plus a valuation bound p-adically.
 """
 
 from .errors import (
@@ -129,7 +129,6 @@ from .series import (
     in_omega_hat,
     radius_of_convergence,
     series_even_odd,
-    taylor_oracle,
     taylor_partial_exact,
 )
 

@@ -11,6 +11,12 @@ Polynomials: coefficient arrays of scalar strings, constant term first.
 ``canonical_json`` fixes key order and separators so identical values always
 produce identical bytes, and ``input_hash`` is the SHA-256 of that canonical
 form of the parsed input document(s).
+
+Archimedean values are exact rationals until ``_decimal`` prints them,
+correctly rounded by integer arithmetic (Steele & White, PLDI 1990) in the
+layout of ``mpmath.nstr(x, dps, strip_zeros=False)``; a bound is printed
+rounded up, with the rounding of its printed value added first, so it bounds
+the printed value.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-
-import mpmath
+from decimal import Decimal
+from fractions import Fraction
 
 from .errors import CapExceeded, SchemaMismatch
 from .frobenius import (
@@ -383,8 +389,39 @@ def normalized_from_json(obj, like: Matrix | None = None) -> NormalizedFineFrobe
     return NormalizedFineFrobenius(kernel.n, field, kernel, linear, tuple(quadratic))
 
 
-def _decimal(x, precision: int) -> str:
-    return mpmath.nstr(x, mpmath.libmp.prec_to_dps(precision), strip_zeros=False)
+def _dps(precision: int) -> int:
+    """The significant decimal digits of a binary precision, as mpmath's
+    prec_to_dps counts them."""
+    return max(1, round(precision / 3.3219280948873626) - 1)
+
+
+def _decimal(x: Fraction, dps: int, up: bool = False) -> tuple[str, Fraction]:
+    """(text, value): x rounded to dps significant digits, to nearest (a half
+    away from zero) or, with ``up``, away from zero.  The text is fixed point
+    when the exponent e of the leading digit has min(-(dps // 3), -5) < e <
+    dps, else d.ddd...e+E; zero is "0.0".  No integer longer than dps digits
+    is printed, so a rational past str's 4300 digits prints too."""
+    if not x:
+        return "0.0", x
+    num, den = abs(x.numerator), x.denominator
+    # e starts at most two below the exponent of the leading digit, never above
+    e = (num.bit_length() - den.bit_length()) * 3010299957 // 10**10 - 1
+    while True:
+        top, bottom = num * 10 ** max(dps - 1 - e, 0), den * 10 ** max(e + 1 - dps, 0)
+        k, rest = divmod(top, bottom)
+        if k < 10**dps:
+            break
+        e += 1
+    if rest and (up or 2 * rest >= bottom):
+        k += 1
+    if k == 10**dps:
+        k, e = k // 10, e + 1
+    digits = str(Decimal(k))  # exact; str of an int stops at 4300 digits
+    if min(-(dps // 3), -5) < e < dps:
+        text = "0." + "0" * (-e - 1) + digits if e < 0 else f"{digits[:e + 1]}.{digits[e + 1:]}"
+    else:
+        text = f"{digits[0]}.{digits[1:]}e{e:+d}"
+    return "-" * (x < 0) + text, Fraction(k if x > 0 else -k) * Fraction(10) ** (e + 1 - dps)
 
 
 def series_descriptor(spec: SeriesSpec) -> dict:
@@ -406,20 +443,22 @@ def series_from_descriptor(obj) -> SeriesSpec:
 
 
 def arch_result_to_json(res: ArchSeriesMatrix, spec: SeriesSpec) -> dict:
-    n = res.n
+    """Each entry rounded to nearest at the digits of the precision, and its
+    bound, tail + |printed - exact|, rounded up."""
+    dps = _dps(res.precision)
+    entries, bounds = [], []
+    for values, tails in zip(res.values.rows, res.error_bounds.rows):
+        printed = [_decimal(x, dps) for x in values]
+        entries.append([text for text, _ in printed])
+        bounds.append([_decimal(tail + abs(shown - x), dps, up=True)[0]
+                       for (_, shown), x, tail in zip(printed, values, tails)])
     return {
         "kind": "arch",
         "series": series_descriptor(spec),
         "precision": res.precision,
         "terms": res.terms_used,
-        "entries": [
-            [_decimal(res.values[i, j], res.precision) for j in range(n)]
-            for i in range(n)
-        ],
-        "error_bounds": [
-            [_decimal(res.error_bounds[i, j], res.precision) for j in range(n)]
-            for i in range(n)
-        ],
+        "entries": entries,
+        "error_bounds": bounds,
     }
 
 
@@ -437,27 +476,22 @@ def padic_result_to_json(res: PadicSeriesMatrix, spec: SeriesSpec) -> dict:
 
 def apply_result_from_json(obj, n: int) -> dict:
     """The keys check reads of an apply document for an n x n input, parsed:
-    kind; series, a SeriesSpec; for "arch", precision, terms and the entries
-    as mpf rows at that precision, each entry read as a literal first, and
-    the error bounds read as n x n nonnegative literals; for "padic", p,
-    terms, valuation_bound (an int or math.inf) and the entries, a Q matrix."""
+    kind; series, a SeriesSpec; the entries, a Q matrix; for "arch",
+    precision, terms, and the error bounds read as n x n nonnegative
+    literals; for "padic", p, terms and valuation_bound (an int or
+    math.inf)."""
     _need(obj, "kind", "series", "entries", what="apply document")
     kind = obj["kind"]
     parsed = {"kind": kind, "series": series_from_descriptor(obj["series"])}
     entries = _square(obj["entries"], n)
     if kind == "arch":
         _need(obj, "precision", "terms", "error_bounds", what="archimedean apply document")
-        precision = parsed["precision"] = valid_precision(obj["precision"])
+        parsed["precision"] = valid_precision(obj["precision"])
         parsed["terms"] = valid_terms(obj["terms"], cap=None)
-        for row in entries:
-            for e in row:
-                QQ.parse_value(e)
         for row in _square(obj["error_bounds"], n):
             for e in row:
                 if QQ.parse_value(e)[0] < 0:
                     raise SchemaMismatch(f"negative error bound {e!r}")
-        with mpmath.workprec(precision):
-            parsed["entries"] = [[mpmath.mpf(e) for e in row] for row in entries]
     elif kind == "padic":
         _need(obj, "p", "terms", "valuation_bound", what="p-adic apply document")
         p, bound = obj["p"], obj["valuation_bound"]
@@ -466,10 +500,10 @@ def apply_result_from_json(obj, n: int) -> dict:
         if bound != "inf" and type(bound) is not int:
             raise SchemaMismatch(f"bad valuation bound {bound!r}")
         parsed.update(p=p, terms=valid_terms(obj["terms"], cap=None),
-                      valuation_bound=math.inf if bound == "inf" else bound,
-                      entries=Matrix.parse(QQ, entries))
+                      valuation_bound=math.inf if bound == "inf" else bound)
     else:
         raise SchemaMismatch(f"unknown apply kind {kind!r}")
+    parsed["entries"] = Matrix.parse(QQ, entries)
     return parsed
 
 

@@ -30,6 +30,8 @@ Fields of characteristic 2 are rejected outright.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -177,12 +179,17 @@ def padic_valuation(x, p: int):
 # ground fields
 # ---------------------------------------------------------------------------
 
+# (the rest, the digits) of a literal's exponent as Fraction reads it
+_EXPONENT = re.compile(r"(.*)[eE][-+]?(\d+(?:_\d+)*)\s*\Z", re.DOTALL)
+
+
 def _literal_value(s) -> tuple[int, int]:
     """(n, d), d > 0, with n / d the value Fraction reads in the string s,
     or Fraction's ValueError or ZeroDivisionError; a ValueError when s is
     not a string.  A string n or n/d whose parts int reads, n ending and d
     made of digits, skips Fraction, which reads it as n / d about twenty
-    times slower; every literal finefrob prints is one."""
+    times slower; every literal finefrob prints is one.  CapExceeded for an
+    exponent past Python's digit limit, as Fraction would build 10^exponent."""
     if not isinstance(s, str):
         raise ValueError("a literal must be a string")
     num, slash, den = s.partition("/")
@@ -193,6 +200,13 @@ def _literal_value(s) -> tuple[int, int]:
                 return n, d
         except ValueError:
             pass
+    exponent = _EXPONENT.match(s)
+    if exponent:
+        digits = exponent[2].replace("_", "").lstrip("0")
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            Fraction(exponent[1] + "e0")  # a malformed rest is Fraction's ValueError
+            raise CapExceeded(f"a literal's exponent is past {limit}")
     x = Fraction(s)
     return x.numerator, x.denominator
 

@@ -12,9 +12,11 @@ root of -n is ever taken.  The matrix theory (via the fine covariants):
     f(M) = sum_i f(gamma_i) A_i  +  sum_j [ even_j P_j + odd_j B_j ],
 
 which this module evaluates with exact rational partial sums plus certified
-tail bounds.  Archimedean results are embedded into arbitrary-precision
-binary floats (with per-entry error bounds); p-adic results stay exact
-rational with a certified valuation bound on the truncation error.
+tail bounds.  Archimedean results stay exact: a Q matrix of partial sums and
+one of per-entry tail bounds, rounded to decimals only where they are printed
+(``jsonio``); p-adic results carry a certified valuation bound on the
+truncation error instead.  Floating point (mpmath) serves only the closed
+forms.
 
 A ground eigenvalue gamma is the case alpha = gamma, n = 0, with no
 vertical part: every covariant is (alpha, n, projector, vertical or none),
@@ -72,7 +74,6 @@ __all__ = [
     "padic_truncation_bound",
     "apply_named_closed_form",
     "complete_jc_of_image",
-    "taylor_oracle",
     "taylor_partial_exact",
 ]
 
@@ -428,12 +429,12 @@ def _auto_terms_arch(spec: SeriesSpec, radii, precision: int) -> int:
 
 @dataclass(frozen=True)
 class EvenOdd:
-    """Even/odd scalar sums with error bounds; iterable as (even, odd)."""
+    """Exact even/odd scalar sums with their tail bounds; iterable as (even, odd)."""
 
-    even: object
-    odd: object
-    even_error: object
-    odd_error: object
+    even: Fraction
+    odd: Fraction
+    even_error: Fraction
+    odd_error: Fraction
     terms_used: int
 
     def __iter__(self):
@@ -456,36 +457,7 @@ def series_even_odd(
     if terms is None:
         terms = _auto_terms_arch(spec, [_radius(alpha, n)], precision)
     even, odd = _even_odd_partial(spec, alpha, n, terms)
-    tail, odd_tail = _even_odd_tails(spec, terms, alpha, n)
-    even_slack, odd_slack = (Fraction(*_round_slack(precision, *x.as_integer_ratio()))
-                             for x in (even, odd))
-    with mpmath.workprec(precision):
-        return EvenOdd(
-            even=_to_mpf(even),
-            odd=_to_mpf(odd),
-            even_error=_to_mpf(tail + even_slack),
-            odd_error=_to_mpf(odd_tail + odd_slack),
-            terms_used=terms,
-        )
-
-
-def _round_slack(precision: int, x: int, d: int) -> tuple[int, int]:
-    """(numerator, denominator) of a generous cover for the embedding roundoff
-    of the exact value x / d, d > 0: (1 + |x / d|) / 2^(precision - 4)."""
-    return d + abs(x), d * 2 ** (precision - 4)
-
-
-def _to_mpf(x):
-    """Exact scalar -> mpf at the ambient working precision."""
-    if isinstance(x, QuadElement):
-        if x.d < 0:
-            raise ValueError("cannot embed a non-real quadratic element")
-        return (
-            _to_mpf(Fraction(x.a))
-            + _to_mpf(Fraction(x.b)) * mpmath.sqrt(mpmath.mpf(x.d))
-        )
-    x = Fraction(x)
-    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+    return EvenOdd(even, odd, *_even_odd_tails(spec, terms, alpha, n), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +466,17 @@ def _to_mpf(x):
 
 @dataclass(frozen=True)
 class ArchSeriesMatrix:
-    """BigFloat matrix with per-entry certified error bounds."""
+    """Q matrices of values and of per-entry certified error bounds; the
+    precision sets the digits the values are printed to."""
 
-    values: mpmath.matrix
-    error_bounds: mpmath.matrix
+    values: Matrix
+    error_bounds: Matrix
     precision: int
     terms_used: int
 
     @property
     def n(self) -> int:
-        return self.values.rows
+        return self.values.n
 
 
 @dataclass(frozen=True)
@@ -572,29 +545,16 @@ def _arch_tails(dec: FineFrobenius, spec: SeriesSpec, terms: int):
     return h_tails, v_tails
 
 
-def _embed_with_bounds(
-    exact: Matrix, tail_items, precision: int, terms: int
-) -> ArchSeriesMatrix:
-    """Each entry x / d of ``exact`` as an mpf, with the bound
-    ``_round_slack`` + sum tail |M[i][j]| over the tail items (tail, M) made
-    one reduced Fraction: the tails run on the integer numerators of each M,
-    over the lcm ``den`` of the tails' denominators."""
+def _with_bounds(exact: Matrix, tail_items, precision: int, terms: int) -> ArchSeriesMatrix:
+    """``exact`` with the bound sum tail |M[i][j]| over the tail items (tail,
+    M), one Q matrix: the tails run on the integer numerators of each M, over
+    the lcm ``den`` of the tails' denominators."""
     dim = exact.n
-    _, (a, d) = _values(exact)
     states = [(tail, *_values(mat)[1]) for tail, mat in tail_items]
     den = math.lcm(*(tail.denominator * k for tail, _, k in states))
     tails = [(tail.numerator * (den // (tail.denominator * k)), rows) for tail, rows, k in states]
-    with mpmath.workprec(precision):
-        values = mpmath.matrix(dim, dim)
-        bounds = mpmath.matrix(dim, dim)
-        for i in range(dim):
-            for j in range(dim):
-                x = a[i][j]
-                err = sum(t * abs(rows[i][j]) for t, rows in tails)
-                slack, unit = _round_slack(precision, x, d)
-                values[i, j] = _to_mpf(Fraction(x, d))
-                bounds[i, j] = _to_mpf(Fraction(slack * den + err * unit, unit * den))
-    return ArchSeriesMatrix(values, bounds, precision, terms)
+    bounds = [[sum(t * abs(rows[i][j]) for t, rows in tails) for j in range(dim)] for i in range(dim)]
+    return ArchSeriesMatrix(exact, Matrix._of(QQ, 0, bounds, den), precision, terms)
 
 
 def _image_parts(m: Matrix, spec: SeriesSpec, av: AbsValue, precision, terms):
@@ -632,7 +592,7 @@ def _image_parts(m: Matrix, spec: SeriesSpec, av: AbsValue, precision, terms):
 
 def _image_result(exact: Matrix, tails, av: AbsValue, precision: int, bound, terms):
     if av.kind == "arch":
-        return _embed_with_bounds(exact, tails, precision, terms)
+        return _with_bounds(exact, tails, precision, terms)
     return PadicSeriesMatrix(exact, av.p, bound, terms)
 
 
@@ -645,8 +605,8 @@ def apply_series(
 ):
     """f(M) through the fine covariants; backend chosen by the absolute value.
 
-    Archimedean: returns ArchSeriesMatrix (BigFloats + per-entry error
-    bounds).  p-adic: returns PadicSeriesMatrix (exact rationals + certified
+    Archimedean: returns ArchSeriesMatrix (exact partial sums + per-entry
+    tail bounds).  p-adic: returns PadicSeriesMatrix (exact rationals + certified
     valuation bound; ``precision`` is the requested bound).  The zero matrix
     is handled directly as a_0 * identity.
     """
@@ -750,7 +710,9 @@ def apply_named_closed_form(m: Matrix, name: str, precision: int = 128) -> ArchS
     exp(lam) has real/imaginary parts e^Re cos(Im), e^Re sin(Im); cos(lam)
     has cos(Re)cosh(Im), -sin(Re)sinh(Im).  Requires every n_j > 0 (the
     normalized decomposition); otherwise NegativeNormComponent propagates and
-    the caller must use apply_series instead.
+    the caller must use apply_series instead.  The values are mpf sums at
+    precision + 16 bits, each read as the exact rational it is, and each
+    bound is 2^(8 - precision) (1 + |value|).
     """
     name = name.upper()
     if name not in ("EXP", "COS"):
@@ -759,9 +721,7 @@ def apply_named_closed_form(m: Matrix, name: str, precision: int = 128) -> ArchS
     dim = m.n
     with mpmath.workprec(precision + 16):
         if m.is_zero:
-            values = mpmath.matrix(dim, dim)
-            for i in range(dim):
-                values[i, i] = mpmath.mpf(1)  # exp(0) = cos(0) = 1
+            values = mpmath.eye(dim)  # exp(0) = cos(0) = 1
         else:
             norm_dec = normalize(fine_frobenius(m))
             values = mpmath.matrix(dim, dim)
@@ -781,20 +741,25 @@ def apply_named_closed_form(m: Matrix, name: str, precision: int = 128) -> ArchS
                 values = values + f_re * _embed_matrix(projector)
                 if unit is not None:
                     values = values + f_im * _embed_matrix(unit)
-        bounds = mpmath.matrix(dim, dim)
-        slack = mpmath.mpf(2) ** (8 - precision)
-        for i in range(dim):
-            for j in range(dim):
-                bounds[i, j] = slack * (1 + abs(values[i, j]))
-    return ArchSeriesMatrix(values, bounds, precision, 0)
+    exact = Matrix(QQ, [[Fraction(*mpmath.libmp.to_rational(x._mpf_)) for x in row]
+                        for row in values.tolist()])
+    _, (a, d) = _values(exact)
+    bounds = Matrix._of(QQ, 0, [[d + abs(x) for x in row] for row in a], d)
+    return ArchSeriesMatrix(exact, bounds.scale(Fraction(2) ** (8 - precision)), precision, 0)
 
 
 def _embed_matrix(mat: Matrix) -> mpmath.matrix:
-    out, rows = mpmath.matrix(mat.n, mat.n), mat.rows
-    for i in range(mat.n):
-        for j in range(mat.n):
-            out[i, j] = _to_mpf(rows[i][j])
-    return out
+    return mpmath.matrix([[_to_mpf(x) for x in row] for row in mat.rows])
+
+
+def _to_mpf(x):
+    """Exact scalar -> mpf at the ambient working precision."""
+    if isinstance(x, QuadElement):
+        if x.d < 0:
+            raise ValueError("cannot embed a non-real quadratic element")
+        return _to_mpf(x.a) + _to_mpf(x.b) * mpmath.sqrt(x.d)
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
 
 
 # -- complete JC of the image ------------------------------------------------
@@ -838,12 +803,3 @@ def taylor_partial_exact(m: Matrix, spec: SeriesSpec, terms: int) -> Matrix:
         if k < terms:
             power = _product(power, a, 0)
     return Matrix._of(m.field, 0, acc, den)
-
-
-def taylor_oracle(
-    m: Matrix, spec: SeriesSpec, terms: int, precision: int = 128
-) -> mpmath.matrix:
-    """The exact partial sum embedded to BigFloats (acceptance-test oracle)."""
-    exact = taylor_partial_exact(m, spec, terms)
-    with mpmath.workprec(precision):
-        return _embed_matrix(exact)

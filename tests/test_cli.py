@@ -4,6 +4,7 @@ import inspect
 import json
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,30 @@ def test_apply_custom_series(tmp_path, capsys):
     assert res["series"]["coeffs"] == ["1", "0", "1"]
     # I + M^2 = [[0, 10], [-2, -4]]; exact decimals
     assert res["entries"][0][1].startswith("10.0")
+
+
+@pytest.mark.parametrize(
+    "entries, coeffs, values",
+    [
+        ([["0", "0"], ["0", "0"]], None, [[1, 0], [0, 1]]),
+        # I/4 + M/2 + M^2/8, M^2 = [[-1, 10], [-2, -5]]
+        (WORKED, ["1/4", "1/2", "1/8"], [[Fraction(9, 8), Fraction(15, 4)],
+                                         [Fraction(-3, 4), Fraction(-3, 8)]]),
+    ],
+    ids=["exp-of-zero", "custom-decimals"],
+)
+def test_apply_of_an_exact_decimal_prints_zero_bounds(tmp_path, capsys, entries, coeffs, values):
+    """exp of the zero matrix, and a CUSTOM polynomial whose values are exact
+    decimals, have no tail and no rounding: every printed bound is 0.0."""
+    path = write_doc(tmp_path, "m.json", mat_doc(entries))
+    fn = "exp"
+    if coeffs is not None:
+        fn = "custom:" + write_doc(tmp_path, "s.json", {"coeffs": coeffs, "radius": "inf"})
+    code, doc = run_json(capsys, ["apply", path, "--fn", fn, "--abs", "arch"])
+    assert code == 0
+    res = doc["result"]
+    assert [[Fraction(x) for x in row] for row in res["entries"]] == values
+    assert res["error_bounds"] == [["0.0", "0.0"], ["0.0", "0.0"]]
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +732,25 @@ def test_apply_caps_exit_2(tmp_path, capsys, flag, value):
     code, doc = run_json(capsys, ["apply", path, "--fn", "exp", "--abs", "arch", flag, value])
     assert code == 2
     assert doc["error"]["code"] == "CapExceeded"
+
+
+def test_literal_with_a_huge_exponent_exits_2_at_once(tmp_path, capsys):
+    """A 12-character literal 1e1000000000 would make Fraction build
+    10^1000000000: as a matrix entry, and as an entry or a bound of an apply
+    document under check, it ends in CapExceeded within a second."""
+    huge = "1e1000000000"
+    path = write_doc(tmp_path, "m.json", mat_doc([[huge, "0"], ["0", "1"]]))
+    source = str(GOLDEN / "inputs" / "q_semisimple.json")
+    runs = [["minpoly", path]]
+    for key in ("entries", "error_bounds"):
+        doc = _golden_result("apply-exp-arch-q_semisimple")
+        doc["result"][key][0][0] = huge
+        runs.append(["check", source, write_doc(tmp_path, f"{key}.json", doc)])
+    for argv in runs:
+        start = time.perf_counter()
+        code, doc = run_json(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, doc["error"]["code"]) == (2, "CapExceeded")
 
 
 def test_apply_past_the_print_digit_limit_exits_2(tmp_path, capsys):

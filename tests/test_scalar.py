@@ -1,7 +1,9 @@
 """Ground-field scalars, quadratic extensions, and the K-decomposition maps."""
 
+import fractions
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -262,7 +264,12 @@ def test_fp_parse_of_an_integer_literal_is_its_residue(literal):
 
 def _fraction_parse(field, s):
     """What ``parse`` gives when every literal goes through ``Fraction``, or
-    SchemaMismatch for a literal it rejects."""
+    SchemaMismatch for a literal it rejects, or CapExceeded for one whose
+    exponent, as Fraction's own pattern reads it, is past Python's digit
+    limit (Fraction would build 10^exponent)."""
+    match = fractions._RATIONAL_FORMAT.match(s)
+    if match and match["exp"] and abs(int(match["exp"])) > sys.get_int_max_str_digits():
+        return CapExceeded
     try:
         fr = Fraction(s)
     except (ValueError, ZeroDivisionError):
@@ -305,17 +312,23 @@ LITERAL_PIECES = (
 @example(" -14/7\n")
 @example("9" * 4300)
 @example("9" * 4301)
+@example("1e4300")
+@example("1e4301")
+@example("-2.5E-1_000_000_000")
+@example("e5000")
+@example("1/2e5000")
 def test_parse_agrees_with_the_fraction_path(field, literal):
     """A literal n or n/d whose parts ``int`` reads skips ``Fraction``; every
     literal gives the element, or the SchemaMismatch, that ``Fraction``
     gives, in ``parse`` and as the entry of ``Matrix.parse``: signs,
     whitespace, underscores, Unicode digits, decimals, exponents, fractions,
-    p/p over F_p and literals past Python's 4,300-digit limit."""
+    p/p over F_p, literals past Python's 4,300-digit limit and exponents past
+    it, which end in CapExceeded before Fraction builds 10^exponent."""
     expected = _fraction_parse(field, literal)
-    if expected is SchemaMismatch:
-        with pytest.raises(SchemaMismatch):
+    if expected in (SchemaMismatch, CapExceeded):
+        with pytest.raises(expected):
             field.parse(literal)
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(expected):
             Matrix.parse(field, [[literal]])
     else:
         parsed = field.parse(literal)
